@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.systems import nehalem_runs, p7_runs
+from repro.experiments.runner import run_catalog
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -25,17 +25,17 @@ def results_dir():
 
 @pytest.fixture(scope="session")
 def p7_catalog_runs():
-    return p7_runs(seed=11)
+    return run_catalog("p7", seed=11)
 
 
 @pytest.fixture(scope="session")
 def p7x2_catalog_runs():
-    return p7_runs(n_chips=2, seed=11)
+    return run_catalog("p7", n_chips=2, seed=11)
 
 
 @pytest.fixture(scope="session")
 def nehalem_catalog_runs():
-    return nehalem_runs(seed=11)
+    return run_catalog("nehalem", seed=11)
 
 
 def emit(results_dir: Path, name: str, text: str) -> None:

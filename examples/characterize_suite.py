@@ -11,19 +11,14 @@ and its factors, and the fitted threshold — the data behind Figs. 6-10.
 import sys
 
 from repro.core.metric import smtsm_from_run
-from repro.experiments.runner import scatter_from_runs
-from repro.experiments.systems import nehalem_runs, p7_runs
+from repro.experiments.runner import run_catalog, scatter_from_runs
 from repro.sim.results import speedup
 from repro.util.tables import format_table
 
 
 def main(which: str = "p7") -> None:
-    if which == "nehalem":
-        runs = nehalem_runs()
-        high, low = 2, 1
-    else:
-        runs = p7_runs(n_chips=2 if which == "p7x2" else 1)
-        high, low = 4, 1
+    runs = run_catalog(which)
+    high, low = (2, 1) if which == "nehalem" else (4, 1)
     system = runs.system
     rows = []
     for name, by_level in runs.runs.items():

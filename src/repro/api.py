@@ -38,6 +38,7 @@ from repro.core.metric import SmtsmResult, smtsm, smtsm_from_run
 from repro.core.predictor import Observation, SmtPredictor
 from repro.counters.pmu import CounterSample
 from repro.experiments.runner import (
+    DEFAULT_STRATEGY,
     CatalogRuns,
     Strategy,
     resolve_system,
@@ -72,6 +73,7 @@ __all__ = [
     "FleetResult",
     "Policy",
     "Strategy",
+    "DEFAULT_STRATEGY",
     "list_policies",
     "simulate_fleet",
 ]
@@ -145,8 +147,10 @@ class Session:
 
     Holds the resolved system, default seed and work budget, the
     persistent run cache handle, and the lazily fitted per-level-pair
-    threshold predictors.  A session is cheap to create; the first
-    ``predict`` on a fresh architecture triggers one batched catalog
+    threshold predictors.  A session is cheap to create: sessions on
+    the same registered architecture share one ``Architecture``
+    instance, so the solver's per-architecture memos carry over.  The
+    first ``predict`` on a fresh architecture triggers one catalog
     sweep to fit the threshold (cached in-memory and, by default, in
     the on-disk run cache) unless an explicit ``threshold`` pins it.
     """
@@ -341,10 +345,15 @@ class Session:
         names: Optional[Sequence[str]] = None,
         levels: Optional[Sequence[int]] = None,
         *,
-        strategy: str = "batched",
+        strategy: str = DEFAULT_STRATEGY,
         jobs: Optional[int] = None,
     ) -> CatalogRuns:
-        """Run a catalog slice (all workloads by default) on this system."""
+        """Run a catalog slice (all workloads by default) on this system.
+
+        ``strategy`` defaults to :data:`DEFAULT_STRATEGY` (columnar),
+        the same engine as :func:`repro.experiments.runner.run_catalog`
+        and the CLI.
+        """
         catalog = None
         if names is not None:
             specs = all_workloads()
@@ -360,7 +369,7 @@ class Session:
         names: Optional[Sequence[str]] = None,
         levels: Optional[Sequence[int]] = None,
         *,
-        strategy: str = "batched",
+        strategy: str = DEFAULT_STRATEGY,
     ) -> Dict[str, Any]:
         """A :meth:`sweep` rendered as one plain-JSON dict (the wire format)."""
         runs = self.sweep(names, levels, strategy=strategy)
@@ -466,7 +475,7 @@ def sweep(
     names: Optional[Sequence[str]] = None,
     levels: Optional[Sequence[int]] = None,
     *,
-    strategy: str = "batched",
+    strategy: str = DEFAULT_STRATEGY,
     jobs: Optional[int] = None,
     **session_kwargs,
 ) -> CatalogRuns:
@@ -481,7 +490,7 @@ def sweep_summary(
     names: Optional[Sequence[str]] = None,
     levels: Optional[Sequence[int]] = None,
     *,
-    strategy: str = "batched",
+    strategy: str = DEFAULT_STRATEGY,
     **session_kwargs,
 ) -> Dict[str, Any]:
     """Module-level :meth:`Session.sweep_summary` on a shared session."""

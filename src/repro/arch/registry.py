@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.arch.machine import Architecture
 from repro.arch.armsmt import armsmt
@@ -19,6 +19,13 @@ _BUILDERS: Dict[str, Callable[[], Architecture]] = {
     "generic": generic_core,
 }
 
+#: One built instance per registered name, with the builder that made
+#: it.  The solver's memos (serial rates, cache-key fingerprints,
+#: surrogate models) are keyed by ``id(arch)``, so handing every lookup
+#: the same frozen instance lets them hit across sessions instead of
+#: growing by one entry set per lookup.
+_INSTANCES: Dict[str, Tuple[Callable[[], Architecture], Architecture]] = {}
+
 
 def register_architecture(name: str, builder: Callable[[], Architecture]) -> None:
     """Register a custom architecture builder under ``name``.
@@ -33,7 +40,11 @@ def register_architecture(name: str, builder: Callable[[], Architecture]) -> Non
 
 
 def get_architecture(name: str) -> Architecture:
-    """Build the named architecture (case-insensitive)."""
+    """The named architecture (case-insensitive).
+
+    Each name is built once and the instance is shared by every later
+    lookup; the name is rebuilt only if its registered builder changes.
+    """
     key = name.lower()
     try:
         builder = _BUILDERS[key]
@@ -41,7 +52,10 @@ def get_architecture(name: str) -> Architecture:
         raise KeyError(
             f"unknown architecture {name!r}; known: {sorted(_BUILDERS)}"
         ) from None
-    return builder()
+    built = _INSTANCES.get(key)
+    if built is None or built[0] is not builder:
+        built = _INSTANCES[key] = (builder, builder())
+    return built[1]
 
 
 def list_architectures() -> List[str]:

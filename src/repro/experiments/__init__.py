@@ -7,6 +7,8 @@ plots.  The benchmark suite (``benchmarks/``) drives these modules and
 asserts the paper's qualitative shapes.
 """
 
+import importlib
+
 from repro.experiments.runner import (
     CatalogRuns,
     ScatterPoint,
@@ -14,41 +16,11 @@ from repro.experiments.runner import (
     run_catalog,
     scatter_from_runs,
 )
-from repro.experiments import (
-    armsmt_transfer,
-    batch_scheduler,
-    coschedule_symbiosis,
-    hetero_biglittle,
-    noise_ablation,
-    fig01_motivation,
-    fig02_naive_metrics,
-    fig06_smt4v1_at4,
-    fig07_instruction_mix,
-    fig08_smt4v2_at4,
-    fig09_smt2v1_at2,
-    fig10_nehalem,
-    fig11_at_smt1_p7,
-    fig12_at_smt1_nehalem,
-    fig13_two_chip_41,
-    fig14_two_chip_42,
-    fig15_two_chip_21,
-    fig16_gini,
-    fig17_ppi,
-    offline_vs_online,
-    online_optimizer,
-    priority_shielding,
-    related_mathis_power5,
-    scaling_cores,
-    table1,
-    threshold_transfer,
-)
 
-__all__ = [
-    "CatalogRuns",
-    "ScatterPoint",
-    "ScatterResult",
-    "run_catalog",
-    "scatter_from_runs",
+#: The experiment modules.  They load on first attribute access
+#: (PEP 562): sweeps, serving and the fleet need only the runner, so
+#: importing the package does not import every figure.
+_EXPERIMENTS = (
     "fig01_motivation",
     "fig02_naive_metrics",
     "fig06_smt4v1_at4",
@@ -75,4 +47,19 @@ __all__ = [
     "scaling_cores",
     "threshold_transfer",
     "table1",
+)
+
+__all__ = [
+    "CatalogRuns",
+    "ScatterPoint",
+    "ScatterResult",
+    "run_catalog",
+    "scatter_from_runs",
+    *_EXPERIMENTS,
 ]
+
+
+def __getattr__(name: str):
+    if name in _EXPERIMENTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

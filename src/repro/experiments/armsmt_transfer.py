@@ -48,7 +48,7 @@ class ArmTransferResult:
         same way — no transfer)."""
         metrics = self.scatter.metrics()
         lo, hi = min(metrics), max(metrics)
-        return lo < self.threshold < hi and lo <= self.ppi_threshold <= hi
+        return bool(lo < self.threshold < hi and lo <= self.ppi_threshold <= hi)
 
     def predicted_vs_best(self):
         """Rows of (workload, metric, predicted level, best level, hit)."""

@@ -40,7 +40,7 @@ class HeteroTransferResult:
         metrics = self.scatters[cluster].metrics()
         lo, hi = self.thresholds[cluster]
         mid = (lo + hi) / 2.0
-        return min(metrics) < mid < max(metrics)
+        return bool(min(metrics) < mid < max(metrics))
 
     def predicted_vs_best(self) -> Dict[str, Dict[str, Tuple[int, int]]]:
         """workload -> cluster -> (predicted level, best level)."""

@@ -13,16 +13,15 @@ for the speedup.  One entry point covers every execution strategy:
 "batched"|"serial"|"parallel")`` — the columnar scenario-table engine
 (default), the calibrated surrogate fast path, the legacy vectorized
 batch engine, the scalar reference loop, or the resilient
-multiprocessing fan-out.  The historical names
-(``run_catalog_batched``, ``systems.p7_runs``/``nehalem_runs``) survive
-as thin :class:`DeprecationWarning` shims.
+multiprocessing fan-out.  :data:`DEFAULT_STRATEGY` is the one default
+every public sweep entry point shares (``run_catalog``, the
+:mod:`repro.api` sweeps, the serve ``sweep`` op and its client).
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -42,12 +41,12 @@ from repro.workloads.spec import WorkloadSpec
 __all__ = [
     "DEFAULT_WORK",  # re-exported; the engine owns the single definition
     "CatalogRuns",
+    "DEFAULT_STRATEGY",
     "RetryPolicy",  # re-exported; now lives in repro.faults.retry
     "STRATEGIES",
     "Strategy",
     "resolve_system",
     "run_catalog",
-    "run_catalog_batched",
     "ScatterPoint",
     "ScatterResult",
     "scatter_from_runs",
@@ -72,6 +71,12 @@ class Strategy(ValidatedStrEnum):
 
 #: The strategies as plain literals (kept for existing callers).
 STRATEGIES = Strategy.options()
+
+#: The strategy every public sweep entry point runs unless told
+#: otherwise: ``run_catalog``, ``Session.sweep``/``sweep_summary``,
+#: ``api.sweep``/``sweep_summary``, the serve ``sweep`` op and
+#: ``ServeClient.sweep``.
+DEFAULT_STRATEGY = Strategy.COLUMNAR
 
 #: Named systems accepted wherever a :class:`SystemSpec` is expected:
 #: alias -> (architecture registry name, chip count).
@@ -291,7 +296,7 @@ def run_catalog(
     catalog: Optional[Mapping[str, WorkloadSpec]] = None,
     levels: Optional[Sequence[int]] = None,
     *,
-    strategy: str = "columnar",
+    strategy: str = DEFAULT_STRATEGY,
     n_chips: Optional[int] = None,
     seed: int = 11,
     work: float = DEFAULT_WORK,
@@ -314,9 +319,10 @@ def run_catalog(
     same :class:`CatalogRuns` (to floating-point round-off; the
     surrogate to its verified error bound):
 
-    * ``"columnar"`` (default) — the whole sweep lowered into one
-      struct-of-arrays :class:`repro.sim.table.ScenarioTable` per
-      architecture and solved with whole-table numpy ops
+    * ``"columnar"`` (:data:`DEFAULT_STRATEGY`) — the whole sweep
+      lowered into one struct-of-arrays
+      :class:`repro.sim.table.ScenarioTable` per architecture and
+      solved with whole-table numpy ops
       (:func:`repro.sim.table.simulate_many_columnar`);
     * ``"surrogate"`` — the calibrated fast path
       (:func:`repro.sim.surrogate.simulate_many_surrogate`): verified
@@ -337,10 +343,10 @@ def run_catalog(
       (:class:`repro.faults.WorkerFaultPlan`).
 
     ``use_cache``/``cache`` control the persistent run cache: hits skip
-    simulation entirely, misses are simulated and stored.  For the
-    batched and parallel strategies the default honours the
-    ``REPRO_RUNCACHE`` environment switch; the serial strategy is the
-    uncached reference path unless a ``cache`` is passed explicitly.
+    simulation entirely, misses are simulated and stored.  For every
+    strategy except serial the default honours the ``REPRO_RUNCACHE``
+    environment switch; the serial strategy is the uncached reference
+    path unless a ``cache`` is passed explicitly.
 
     A run that fails to simulate does not abort the sweep: the batch
     is salvaged run-by-run, the failure lands in
@@ -461,36 +467,6 @@ def run_catalog(
             continue
         all_runs.setdefault(name, {})[level] = result
     return CatalogRuns(system=system, runs=all_runs, seed=seed, failures=failures)
-
-
-def run_catalog_batched(
-    system: SystemSpec,
-    catalog: Mapping[str, WorkloadSpec],
-    levels: Optional[Sequence[int]] = None,
-    *,
-    seed: int = 11,
-    work: float = DEFAULT_WORK,
-    cache: Optional[RunCache] = None,
-    use_cache: Optional[bool] = None,
-    jobs: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    fault_hook: Optional[Callable[[int, RunSpec, int], None]] = None,
-) -> CatalogRuns:
-    """Deprecated shim: use :func:`run_catalog` (``strategy="batched"``,
-    or ``strategy="parallel"`` with ``jobs=``)."""
-    warnings.warn(
-        "run_catalog_batched is deprecated; call run_catalog(..., "
-        "strategy='batched') (or strategy='parallel' with jobs=) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    strategy = "parallel" if jobs is not None and jobs > 1 else "batched"
-    return run_catalog(
-        system, catalog, levels,
-        strategy=strategy, seed=seed, work=work, cache=cache,
-        use_cache=use_cache, jobs=jobs if strategy == "parallel" else None,
-        retry_policy=retry_policy, fault_hook=fault_hook,
-    )
 
 
 @dataclass(frozen=True)

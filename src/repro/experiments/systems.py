@@ -1,19 +1,14 @@
 """The paper's three experimental systems.
 
 Catalog sweeps go through the unified
-:func:`repro.experiments.runner.run_catalog` entry point —
-``run_catalog("p7", seed=...)`` / ``run_catalog("nehalem", ...)``
-replace the old ``p7_runs``/``nehalem_runs`` helpers, which survive
-here as :class:`DeprecationWarning` shims.
+:func:`repro.experiments.runner.run_catalog` entry point:
+``run_catalog("p7", seed=...)``, ``run_catalog("p7x2", ...)`` or
+``run_catalog("nehalem", ...)``.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence
-
 from repro.arch import nehalem, power7
-from repro.experiments.runner import CatalogRuns, run_catalog
 from repro.simos.system import SystemSpec
 
 DEFAULT_SEED = 11
@@ -27,26 +22,3 @@ def p7_system(n_chips: int = 1) -> SystemSpec:
 def nehalem_system() -> SystemSpec:
     """Linux/Core i7 965: one quad-core chip (paper §III-A)."""
     return SystemSpec(nehalem(), 1)
-
-
-def p7_runs(n_chips: int = 1, *, seed: int = DEFAULT_SEED,
-            levels: Optional[Sequence[int]] = None) -> CatalogRuns:
-    """Deprecated shim: use ``run_catalog("p7", n_chips=..., seed=...)``."""
-    warnings.warn(
-        "p7_runs is deprecated; call run_catalog('p7', n_chips=..., seed=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_catalog("p7", levels=levels, n_chips=n_chips, seed=seed)
-
-
-def nehalem_runs(*, seed: int = DEFAULT_SEED) -> CatalogRuns:
-    """Deprecated shim: use ``run_catalog("nehalem", seed=...)``."""
-    warnings.warn(
-        "nehalem_runs is deprecated; call run_catalog('nehalem', seed=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_catalog("nehalem", seed=seed)

@@ -38,6 +38,7 @@ from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from repro.experiments.runner import DEFAULT_STRATEGY
 from repro.obs import get_tracer
 from repro.serve.protocol import (
     ERR_CANCELLED,
@@ -192,7 +193,7 @@ class ServeClient:
     def sweep(self, *, arch: str = "p7", n_chips: Optional[int] = None,
               workloads: Optional[Sequence[str]] = None,
               levels: Optional[Sequence[int]] = None,
-              strategy: str = "batched",
+              strategy: str = DEFAULT_STRATEGY,
               deadline_ms: Optional[float] = None) -> Dict[str, Any]:
         """Run a catalog slice; returns the sweep summary dict."""
         params: Dict[str, Any] = {"arch": arch, "strategy": strategy}

@@ -104,7 +104,7 @@ def handle_sweep(
     levels = params.get("levels")
     if levels is not None and not isinstance(levels, (list, tuple)):
         raise HandlerError("'levels' must be a list of SMT levels")
-    strategy = params.get("strategy", "batched")
+    strategy = params.get("strategy", api.DEFAULT_STRATEGY)
     try:
         return session.sweep_summary(
             names, tuple(levels) if levels is not None else None,

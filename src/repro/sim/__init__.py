@@ -12,11 +12,13 @@ Two engines share one semantic model of an out-of-order SMT core:
 
 Chip-level composition (shared L3, DRAM bandwidth, NUMA) lives in
 :mod:`repro.sim.chip`; the full-system run loop in
-:mod:`repro.sim.engine`.  The batched sweep engine
+:mod:`repro.sim.engine`.  Every public sweep runs on the columnar
+engine (:mod:`repro.sim.table`), which solves a whole sweep as
+struct-of-arrays operations.  The legacy batched engine
 (:class:`repro.sim.fast_core.CoreBatch`,
 :func:`repro.sim.chip.solve_chip_batch`,
-:func:`repro.sim.engine.simulate_many`) evaluates many independent
-scenarios per vectorized step, and :mod:`repro.sim.runcache` persists
+:func:`repro.sim.engine.simulate_many`) stays selectable with
+``strategy="batched"``, and :mod:`repro.sim.runcache` persists
 converged runs on disk across sessions.
 """
 
@@ -35,7 +37,20 @@ from repro.sim.chip import ChipSolution, solve_chip, solve_chip_batch
 from repro.sim.results import RunResult
 from repro.sim.engine import RunSpec, simulate_many, simulate_run
 from repro.sim.runcache import RunCache, run_cache_key
-from repro.sim.cycle_core import CycleCore, CycleCoreResult, InstructionGenerator
+
+#: Names served from :mod:`repro.sim.cycle_core` on first access
+#: (PEP 562): no sweep, serve or fleet path runs the cycle engine, so
+#: importing the package does not load it.
+_CYCLE_CORE_NAMES = ("CycleCore", "CycleCoreResult", "InstructionGenerator")
+
+
+def __getattr__(name: str):
+    if name in _CYCLE_CORE_NAMES:
+        from repro.sim import cycle_core
+
+        return getattr(cycle_core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MemoryBehavior",

@@ -163,24 +163,7 @@ def _simulate_group(specs: List[RunSpec]) -> List[RunResult]:
         place_threads(spec.system, spec.smt_level, n) for spec, n in zip(specs, ns)
     ]
 
-    # Warm the serial-rate memo for the group's distinct streams in one
-    # vectorized pass (they are all independent SMT1 solo solves).
-    pending: Dict[Tuple[int, StreamParams], StreamParams] = {}
-    for spec in specs:
-        key = (id(arch), spec.stream)
-        hit = _SERIAL_RATE_CACHE.get(key)
-        if (hit is None or hit[0] is not arch) and key not in pending:
-            pending[key] = spec.stream
-    if pending:
-        get_tracer().add("engine.serial_memo_misses", len(pending))
-        solo = solve_core_batch(
-            [
-                CoreInput(arch=arch, smt_level=1, streams=(stream,), threads_per_chip=1)
-                for stream in pending.values()
-            ]
-        )
-        for key, out in zip(pending, solo):
-            _SERIAL_RATE_CACHE[key] = (arch, float(out.ipc[0]) * freq)
+    _warm_serial_rates(arch, [spec.stream for spec in specs])
 
     base = solve_chip_batch(
         [(pl, spec.stream) for pl, spec in zip(placements, specs)]
@@ -295,9 +278,49 @@ def _finalize_run(
 #: Serial rates depend only on (architecture, stream) — not the SMT
 #: level — so one entry serves a workload's whole level sweep.  Keys use
 #: ``id(arch)`` because architectures hold dict-valued partition tables
-#: and are unhashable; the stored arch reference pins the id.
+#: and are unhashable; the stored arch reference pins the id.  Every
+#: insert goes through :func:`_remember_serial_rates`, which holds the
+#: memo to ``_SERIAL_RATE_CACHE_MAX`` entries.
 _SERIAL_RATE_CACHE: Dict[Tuple[int, StreamParams], Tuple[object, float]] = {}
 _SERIAL_RATE_CACHE_MAX = 4096
+
+
+def _remember_serial_rates(
+    arch, rates: Sequence[Tuple[StreamParams, float]]
+) -> None:
+    """Memoize solved serial rates for ``arch``, keeping the memo bounded.
+
+    A batch that would overflow the cap clears the memo first rather
+    than midway: callers read every rate of the batch straight back, and
+    a rate recomputed by the scalar solver can differ from the batch
+    solver's in the last bits.  For the same reason a single batch
+    larger than the cap is kept whole.
+    """
+    if len(_SERIAL_RATE_CACHE) + len(rates) > _SERIAL_RATE_CACHE_MAX:
+        _SERIAL_RATE_CACHE.clear()
+    for stream, rate in rates:
+        _SERIAL_RATE_CACHE[(id(arch), stream)] = (arch, rate)
+
+
+def _warm_serial_rates(arch, streams: Sequence[StreamParams]) -> None:
+    """Solve and memoize every serial rate of ``streams`` not yet known
+    for ``arch``, in one vectorized pass (independent SMT1 solo solves)."""
+    pending: Dict[StreamParams, None] = {}
+    for stream in streams:
+        hit = _SERIAL_RATE_CACHE.get((id(arch), stream))
+        if hit is None or hit[0] is not arch:
+            pending[stream] = None
+    if not pending:
+        return
+    get_tracer().add("engine.serial_memo_misses", len(pending))
+    solo = solve_core_batch([
+        CoreInput(arch=arch, smt_level=1, streams=(stream,), threads_per_chip=1)
+        for stream in pending
+    ])
+    freq = arch.cycles_per_second()
+    _remember_serial_rates(arch, [
+        (stream, float(out.ipc[0]) * freq) for stream, out in zip(pending, solo)
+    ])
 
 
 def _serial_rate(system: SystemSpec, stream: StreamParams) -> float:
@@ -322,9 +345,7 @@ def _serial_rate(system: SystemSpec, stream: StreamParams) -> float:
         )
     )
     rate = float(out.ipc[0]) * arch.cycles_per_second()
-    if len(_SERIAL_RATE_CACHE) >= _SERIAL_RATE_CACHE_MAX:
-        _SERIAL_RATE_CACHE.clear()
-    _SERIAL_RATE_CACHE[key] = (arch, rate)
+    _remember_serial_rates(arch, [(stream, rate)])
     return rate
 
 

@@ -169,8 +169,10 @@ def _spec_fingerprint(spec) -> Dict[str, Any]:
 
 #: Architectures are unhashable (dict-valued partition tables), so their
 #: serialized fingerprints are memoized by object identity; the stored
-#: reference pins the id against reuse.
+#: reference pins the id against reuse.  The memo is cleared when full,
+#: so freshly built architectures cannot grow it without bound.
 _ARCH_FP_CACHE: Dict[int, Tuple[Architecture, str]] = {}
+_ARCH_FP_CACHE_MAX = 64
 
 
 def _arch_fp_json(arch: Architecture) -> str:
@@ -178,6 +180,8 @@ def _arch_fp_json(arch: Architecture) -> str:
     if hit is not None and hit[0] is arch:
         return hit[1]
     text = json.dumps(_arch_fingerprint(arch), sort_keys=True)
+    if len(_ARCH_FP_CACHE) >= _ARCH_FP_CACHE_MAX:
+        _ARCH_FP_CACHE.clear()
     _ARCH_FP_CACHE[id(arch)] = (arch, text)
     return text
 

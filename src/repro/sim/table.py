@@ -47,7 +47,7 @@ from repro.sim.branch import SHARING_PENALTY_PER_THREAD
 from repro.sim.cache import MAX_PRESSURE_SCALE
 from repro.sim.chip import BISECTION_STEPS, TOLERANCE
 from repro.sim.engine import MAX_SPIN, SPIN_ITERATIONS, RunSpec
-from repro.sim.fast_core import QUEUE_FILL_FACTOR, CoreInput, effective_smt_mode, solve_core_batch
+from repro.sim.fast_core import QUEUE_FILL_FACTOR, effective_smt_mode
 from repro.sim.memory import MAX_LATENCY_MULT, RHO_CAP, numa_extra_latency
 from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
@@ -460,27 +460,6 @@ class ScenarioTable:
             run_idx = np.arange(self.n_runs)
         return _View(self, np.asarray(run_idx, dtype=int))
 
-    def _warm_serial_rates(self, run_idx: np.ndarray) -> None:
-        """Warm the engine's serial-rate memo for the selected runs."""
-        arch = self.arch
-        pending: Dict[Tuple[int, object], object] = {}
-        for j in run_idx:
-            stream = self.specs[j].stream
-            key = (id(arch), stream)
-            hit = _engine._SERIAL_RATE_CACHE.get(key)
-            if (hit is None or hit[0] is not arch) and key not in pending:
-                pending[key] = stream
-        if pending:
-            get_tracer().add("engine.serial_memo_misses", len(pending))
-            solo = solve_core_batch(
-                [
-                    CoreInput(arch=arch, smt_level=1, streams=(s,), threads_per_chip=1)
-                    for s in pending.values()
-                ]
-            )
-            for key, out in zip(pending, solo):
-                _engine._SERIAL_RATE_CACHE[key] = (arch, float(out.ipc[0]) * self.freq)
-
     # -- the fixed-point driver ----------------------------------------
 
     def drive(self, run_idx: Optional[np.ndarray] = None) -> TableState:
@@ -611,7 +590,7 @@ class ScenarioTable:
         arch = self.arch
         freq = self.freq
         E = self.n_events
-        self._warm_serial_rates(run_idx)
+        _engine._warm_serial_rates(arch, [self.specs[j].stream for j in run_idx])
 
         m = len(run_idx)
         # Times + jitter (scalar arithmetic per run mirrors account_run /

@@ -1,5 +1,8 @@
 """Tests for the shared experiment runner."""
 
+import warnings
+from pathlib import Path
+
 import pytest
 
 import repro.experiments.runner as runner_mod
@@ -34,6 +37,25 @@ class TestRunCatalog:
     def test_rejects_unsupported_level(self):
         with pytest.raises(ValueError):
             run_catalog(p7_system(), {"EP": all_workloads()["EP"]}, (1, 3))
+
+    def test_run_catalog_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            run_catalog("p7", {"EP": all_workloads()["EP"]}, (1,), seed=11)
+
+    def test_repo_has_no_callers_of_removed_names(self):
+        """``run_catalog`` replaced ``run_catalog_batched`` and the
+        ``p7_runs``/``nehalem_runs`` helpers, which are gone."""
+        repo = Path(__file__).resolve().parents[2]
+        offenders = [
+            f"{path.relative_to(repo)}:{i}"
+            for root in ("src", "scripts", "examples", "benchmarks")
+            for path in (repo / root).rglob("*.py")
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if any(name in line for name in
+                   ("run_catalog_batched", "p7_runs(", "nehalem_runs("))
+        ]
+        assert not offenders, f"removed runner names still used: {offenders}"
 
 
 class TestScatterFromRuns:

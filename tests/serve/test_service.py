@@ -68,6 +68,18 @@ class TestBasics:
         assert set(summary["workloads"]) == {"EP", "CG"}
         assert summary["levels"] == [1, 4]
 
+    def test_sweep_without_strategy_runs_columnar(self, tracer, make_server):
+        # No "strategy" param: the handler's DEFAULT_STRATEGY decides.
+        bg = make_server(ServeConfig(session={"use_cache": False}))
+        with ServeClient(bg.host, bg.port) as c:
+            summary = c.request("sweep", {"workloads": ["EP"], "levels": [1]})
+        assert set(summary["workloads"]) == {"EP"}
+        names = {record.name for record in tracer.spans()}
+        assert "table.simulate_many" in names
+        assert "engine.simulate_many" not in names
+        (sweep,) = [r for r in tracer.spans() if r.name == "runner.run_catalog"]
+        assert sweep.attrs["strategy"] == "columnar"
+
     def test_score_counters(self, client):
         events = {"CYCLES": 1e9, "INSTRUCTIONS": 6e8, "DISP_HELD_RES": 2e8,
                   "LD_CMPL": 2.2e8, "ST_CMPL": 1.1e8, "BR_CMPL": 9e7,
