@@ -10,7 +10,7 @@ over these classes; architectures map the classes onto issue ports.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class Mix:
     to/from numpy arrays.
     """
 
-    __slots__ = ("_vec",)
+    __slots__ = ("_vec", "_hash")
 
     def __init__(self, values: Union[Mapping[InstrClass, float], Iterable[float]]):
         if isinstance(values, Mapping):
@@ -61,6 +61,7 @@ class Mix:
                 )
         self._vec = check_probability_vector("instruction mix", vec)
         self._vec.flags.writeable = False
+        self._hash: Optional[int] = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -125,7 +126,11 @@ class Mix:
         return bool(np.allclose(self._vec, other._vec, atol=1e-12))
 
     def __hash__(self) -> int:
-        return hash(tuple(np.round(self._vec, 12)))
+        # The vector is read-only, so the rounded-tuple hash is computed
+        # once; serial-rate memo lookups hash the same mixes repeatedly.
+        if self._hash is None:
+            self._hash = hash(tuple(np.round(self._vec, 12)))
+        return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{c.name}={self._vec[c]:.3f}" for c in CLASS_ORDER)

@@ -33,13 +33,12 @@ the shared finalization path when it answers a query directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.classes import N_CLASSES, SPIN_LOOP_MIX, InstrClass
+from repro.arch.classes import SPIN_LOOP_MIX, InstrClass
 from repro.counters.events import CLASS_COUNT_EVENTS, arch_event_names
 from repro.obs import get_tracer
 from repro.sim import engine as _engine
@@ -52,7 +51,7 @@ from repro.sim.memory import MAX_LATENCY_MULT, RHO_CAP, numa_extra_latency
 from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
 from repro.simos.scheduler import place_threads
-from repro.simos.timebase import TimeAccounting, account_run
+from repro.simos.timebase import TimeAccounting, account_runs
 from repro.util.rng import RngStream
 
 __all__ = ["ScenarioTable", "TableState", "simulate_many_columnar"]
@@ -89,16 +88,13 @@ class TableState:
 
 
 class _Sol:
-    """One whole-table kernel evaluation."""
+    """One whole-table kernel evaluation (``held`` is None if util-only)."""
 
-    __slots__ = ("x", "lam", "held", "long_frac", "traffic_core", "run_traffic", "util")
+    __slots__ = ("x", "held", "run_traffic", "util")
 
-    def __init__(self, x, lam, held, long_frac, traffic_core, run_traffic, util):
+    def __init__(self, x, held, run_traffic, util):
         self.x = x
-        self.lam = lam
         self.held = held
-        self.long_frac = long_frac
-        self.traffic_core = traffic_core
         self.run_traffic = run_traffic
         self.util = util
 
@@ -107,6 +103,27 @@ def _latency_multiplier(traffic: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """Vector mirror of :meth:`BandwidthModel.latency_multiplier`."""
     rho = np.minimum(traffic / cap, RHO_CAP)
     return np.minimum(1.0 / (1.0 - rho ** 3), MAX_LATENCY_MULT)
+
+
+def _spin_blend(base_mix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spin-polluted mix rows, renormalized exactly like ``Mix.blend`` does."""
+    bm = (1.0 - w)[:, None] * base_mix + w[:, None] * _SPIN_VEC[None, :]
+    bm = np.clip(bm, 0.0, None)
+    return bm / bm.sum(axis=1, keepdims=True)
+
+
+def _segments(
+    start: np.ndarray, idx: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ranges ``start[i]:start[i + 1]`` for every ``i`` of ``idx``, concatenated.
+
+    Returns ``(positions, counts, offsets)``; range ``k`` occupies
+    ``positions[offsets[k]:offsets[k] + counts[k]]``.
+    """
+    lo = start[idx]
+    counts = start[idx + 1] - lo
+    offsets = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(lo - offsets, counts), counts, offsets
 
 
 class _View:
@@ -121,17 +138,7 @@ class _View:
     def __init__(self, table: "ScenarioTable", run_idx: np.ndarray):
         self.table = table
         self.run_idx = run_idx
-        rows: List[np.ndarray] = []
-        counts = []
-        for j in run_idx:
-            lo, hi = table.run_row_start[j], table.run_row_start[j + 1]
-            rows.append(np.arange(lo, hi))
-            counts.append(hi - lo)
-        self.rows = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=int)
-        )
-        counts = np.asarray(counts, dtype=int)
-        self.seg = np.concatenate(([0], np.cumsum(counts)))[:-1]
+        self.rows, counts, self.seg = _segments(table.run_row_start, run_idx)
         r = self.rows
         # Gather the per-row constant columns once.
         self.occ = table.row_occ[r]
@@ -145,16 +152,42 @@ class _View:
         self.disp_w = table.row_disp_w[r]
         self.traffic_bpi = table.row_traffic_bpi[r]
         self.cap = table.run_cap[run_idx]
+        self.hi_mult = _latency_multiplier(RHO_CAP * self.cap, self.cap)
         self.local_run = np.repeat(np.arange(len(run_idx)), counts)
 
     def __len__(self) -> int:
         return len(self.run_idx)
 
-    def solve(self, mult: np.ndarray, w: np.ndarray) -> _Sol:
+    def blend(self, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row terms of the spin blend at per-run weights ``w``.
+
+        Returns ``(stall_base, port_vec)``: the multiplier-free stall
+        (cache latencies plus the blended branch stall) and the blended
+        mix routed onto the issue ports, port-major ``(P, r)`` so the
+        per-row minimum over ports reduces across contiguous rows.
+        Neither depends on the memory multiplier, so a bisection phase
+        computes them once.
+        """
+        bm = _spin_blend(self.base_mix, w[self.local_run])
+        br_stall = bm[:, _BRANCH] * self.br_rate * self.table.branch_penalty
+        port_vec = np.ascontiguousarray((bm @ self.table.routing_t).T)
+        return self.mem_base + br_stall, port_vec
+
+    def solve(
+        self,
+        mult: np.ndarray,
+        w: Optional[np.ndarray] = None,
+        *,
+        terms: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        util_only: bool = False,
+    ) -> _Sol:
         """Evaluate the MVA core model for every row of the view.
 
         ``mult``/``w`` are per-run (view-local) memory-latency
-        multipliers and spin-blend weights.  Mirrors
+        multipliers and spin-blend weights; ``terms`` passes
+        :meth:`blend` of ``w`` precomputed instead.  ``util_only``
+        skips the dispatch-held column (``held`` is None): the
+        bisection probes read only ``util``.  Mirrors
         :meth:`repro.sim.fast_core.CoreBatch.solve` specialized to
         homogeneous (SPMD) rows with uniform priorities.
         """
@@ -162,27 +195,17 @@ class _View:
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add("table.solves")
+        stall_base, port_vec = self.blend(w) if terms is None else terms
         mult_r = mult[self.local_run]
-        w_r = w[self.local_run]
-
-        # Spin-polluted mix, renormalized exactly like Mix.blend does.
-        bm = (1.0 - w_r)[:, None] * self.base_mix + w_r[:, None] * _SPIN_VEC[None, :]
-        bm = np.clip(bm, 0.0, None)
-        bm = bm / bm.sum(axis=1, keepdims=True)
-
-        br_stall = bm[:, _BRANCH] * self.br_rate * t.branch_penalty
-        stall = (self.mem_base + br_stall) + self.mem_coef * mult_r
-        x_want = 1.0 / (self.inv_r + stall)
+        x_want = 1.0 / (self.inv_r + (stall_base + self.mem_coef * mult_r))
 
         # Structural limits: port saturation and the shared dispatch width.
-        port_vec = bm @ t.routing_t                      # (r, P)
-        demand = (self.occ * x_want)[:, None] * port_vec
-        with np.errstate(divide="ignore"):
-            ratios = np.where(
-                demand > 0, t.port_caps[None, :] / np.maximum(demand, 1e-300), np.inf
-            )
-        lam_port = np.minimum(1.0, ratios.min(axis=1))
         sum_x = self.occ * x_want
+        demand = port_vec * sum_x                            # (P, r)
+        ratios = np.where(
+            demand > 0, t.port_caps / np.maximum(demand, 1e-300), np.inf
+        )
+        lam_port = np.minimum(1.0, ratios.min(axis=0))
         lam_fe = np.minimum(1.0, self.disp_w / np.maximum(sum_x, 1e-12))
         lam = np.minimum(lam_port, lam_fe)
 
@@ -193,16 +216,17 @@ class _View:
         x = np.where(lam < 1.0, x_constrained, x_want)
         x = np.minimum(x, x_want)
 
-        long_frac = np.clip(x * (self.long_base + self.mem_coef * mult_r), 0.0, 1.0)
-        held_queue = (self.occ * long_frac) / self.occ * QUEUE_FILL_FACTOR
-        held = np.clip(1.0 - (1.0 - held_queue) * lam, 0.0, 1.0)
         traffic_core = self.occ * (x * self.traffic_bpi)
-
         run_traffic = np.add.reduceat(
             self.n_cores * (traffic_core * t.bytes_to_gbps), self.seg
         )
         util = run_traffic / self.cap
-        return _Sol(x, lam, held, long_frac, traffic_core, run_traffic, util)
+        if util_only:
+            return _Sol(x, None, run_traffic, util)
+        long_frac = np.clip(x * (self.long_base + self.mem_coef * mult_r), 0.0, 1.0)
+        held_queue = (self.occ * long_frac) / self.occ * QUEUE_FILL_FACTOR
+        held = np.clip(1.0 - (1.0 - held_queue) * lam, 0.0, 1.0)
+        return _Sol(x, held, run_traffic, util)
 
     def chip_phase(self, w: np.ndarray) -> Tuple[_Sol, np.ndarray]:
         """Bandwidth bisection for every run of the view, in lockstep.
@@ -210,16 +234,18 @@ class _View:
         Mirrors :func:`repro.sim.chip._solve_chip_batch`: settle runs at
         unit latency, pin saturated runs at the cap, bisect the rest.
         All active brackets halve together, so the loop exits for every
-        run at the same step (~14 of the nominal 40).
+        run at the same step (~14 of the nominal 40).  The blend terms
+        are computed once for the phase; every probe before the final
+        solve is ``util_only``.
         """
         m = len(self)
+        terms = self.blend(w)
         final_mult = np.ones(m)
-        sol = self.solve(final_mult, w)
-        undone = sol.util > TOLERANCE
+        undone = self.solve(final_mult, terms=terms, util_only=True).util > TOLERANCE
         steps = 0
         if undone.any():
-            hi_mult = _latency_multiplier(RHO_CAP * self.cap, self.cap)
-            sol_hi = self.solve(np.where(undone, hi_mult, 1.0), w)
+            hi_mult = self.hi_mult
+            sol_hi = self.solve(np.where(undone, hi_mult, 1.0), terms=terms, util_only=True)
             saturated = undone & (sol_hi.util >= RHO_CAP)
             final_mult = np.where(saturated, hi_mult, final_mult)
             active = undone & ~saturated
@@ -231,14 +257,12 @@ class _View:
                 steps += 1
                 mid = (lo + hi) / 2.0
                 step_mult = _latency_multiplier(mid * self.cap, self.cap)
-                step_mult = np.where(active, step_mult, final_mult)
-                utils = self.solve(step_mult, w).util
-                above = utils > mid
+                final_mult = np.where(active, step_mult, final_mult)
+                above = self.solve(final_mult, terms=terms, util_only=True).util > mid
                 lo = np.where(active & above, mid, lo)
                 hi = np.where(active & ~above, mid, hi)
-                final_mult = np.where(active, step_mult, final_mult)
                 active = active & ~((hi - lo) < TOLERANCE)
-        sol = self.solve(final_mult, w)
+        sol = self.solve(final_mult, terms=terms)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.add("table.bisection_steps", steps)
@@ -274,7 +298,7 @@ class ScenarioTable:
         self.freq = arch.cycles_per_second()
         self.bytes_to_gbps = self.freq / 1e9
         self.routing_t = np.ascontiguousarray(arch.topology.routing_matrix.T)
-        self.port_caps = arch.topology.capacities
+        self.port_caps = arch.topology.capacities[:, None]    # (P, 1)
         self.branch_penalty = float(arch.branch_penalty)
         self.event_names = self._event_columns()
         self.n_events = len(self.event_names)
@@ -282,110 +306,98 @@ class ScenarioTable:
         J = len(specs)
         self.n_runs = J
         self.ns = [spec.resolved_threads() for spec in specs]
-        self.placements = [
-            place_threads(spec.system, spec.smt_level, n)
-            for spec, n in zip(specs, self.ns)
-        ]
-        self.run_cap = np.array(
-            [spec.system.mem_bandwidth_gbps() for spec in specs]
-        )
         self.run_noise = np.array([spec.noise_rel for spec in specs])
         self.run_n = np.array(self.ns, dtype=float)
+        # Distinct stream objects (a catalog sweep reuses each workload's
+        # stream at every level) and each run's index into them.
+        stream_pos: Dict[int, int] = {}
+        self.run_stream = np.array(
+            [stream_pos.setdefault(id(spec.stream), len(stream_pos)) for spec in specs],
+            dtype=int,
+        )
+        self.streams = list({id(spec.stream): spec.stream for spec in specs}.values())
 
         # ---- core rows: one per (run, occupancy class) ---------------
-        occ_l: List[int] = []
-        cores_l: List[int] = []
-        tpc_l: List[int] = []
-        extra_l: List[float] = []
-        mode_l: List[int] = []
-        row_start = [0]
-        core_rows: List[int] = []        # per occupied core, placement order
-        core_occ: List[int] = []
-        core_start = [0]
-        ctx_rows: List[int] = []         # per hardware context, placement order
-        ctx_start = [0]
+        # Placement and the row layout depend only on (chips, level,
+        # threads), so each distinct triple is laid out once; the runs
+        # then gather their layout's rows with offset index arithmetic.
+        layouts: Dict[Tuple[int, int, int], int] = {}
+        lay_rows: List[Tuple[int, int, int, float, float]] = []
+        lay_cap: List[float] = []
+        lay_core: List[int] = []     # local row of each occupied core
+        lay_ctx: List[int] = []      # local row of each hardware context
+        starts: Tuple[List[int], ...] = ([0], [0], [0])
+        resources: Dict[int, Tuple[float, float]] = {}
+        extra_by: Dict[Tuple[int, float], float] = {}
+        run_layout = []
+        run_extra = []
         caches = arch.caches
-        for j, (spec, placement) in enumerate(zip(specs, self.placements)):
-            occupied = [t for t in placement.threads_per_core if t > 0]
-            threads_per_chip = max(placement.threads_per_chip())
-            extra_lat = numa_extra_latency(
-                spec.system.n_chips,
-                spec.stream.memory.data_sharing,
-                caches.numa_extra_cycles,
-            )
-            occ_to_row: Dict[int, int] = {}
-            for occ in set(occupied):
-                occ_to_row[occ] = len(occ_l)
-                occ_l.append(occ)
-                cores_l.append(occupied.count(occ))
-                tpc_l.append(max(threads_per_chip, occ))
-                extra_l.append(extra_lat)
-                mode_l.append(effective_smt_mode(arch, occ))
-            row_start.append(len(occ_l))
-            for occ in occupied:
-                core_rows.append(occ_to_row[occ])
-                core_occ.append(occ)
-                ctx_rows.extend([occ_to_row[occ]] * occ)
-            core_start.append(len(core_rows))
-            ctx_start.append(len(ctx_rows))
+        for spec, n in zip(specs, self.ns):
+            system = spec.system
+            key = (system.n_chips, spec.smt_level, n)
+            if key not in layouts:
+                layouts[key] = len(layouts)
+                placement = place_threads(system, spec.smt_level, n)
+                occupied = [t for t in placement.threads_per_core if t > 0]
+                threads_per_chip = max(placement.threads_per_chip())
+                occ_to_row: Dict[int, int] = {}
+                for occ in set(occupied):
+                    occ_to_row[occ] = len(occ_to_row)
+                    mode = effective_smt_mode(arch, occ)
+                    if mode not in resources:
+                        resources[mode] = (
+                            arch.partition.thread_resources(mode).ilp_scale,
+                            arch.partition.core_dispatch_width(mode),
+                        )
+                    lay_rows.append((occ, occupied.count(occ),
+                                     max(threads_per_chip, occ), *resources[mode]))
+                lay_cap.append(system.mem_bandwidth_gbps())
+                for occ in occupied:
+                    lay_core.append(occ_to_row[occ])
+                    lay_ctx.extend([occ_to_row[occ]] * occ)
+                for start, items in zip(starts, (lay_rows, lay_core, lay_ctx)):
+                    start.append(len(items))
+            run_layout.append(layouts[key])
+            numa = (system.n_chips, spec.stream.memory.data_sharing)
+            if numa not in extra_by:
+                extra_by[numa] = numa_extra_latency(*numa, caches.numa_extra_cycles)
+            run_extra.append(extra_by[numa])
+        run_layout_a = np.asarray(run_layout, dtype=int)
+        self.run_cap = np.asarray(lay_cap)[run_layout_a]
 
-        R = len(occ_l)
+        def spread(start: List[int], local: Sequence) -> Tuple[np.ndarray, np.ndarray]:
+            """Every run's copy of its layout's ``local`` entries, and the
+            per-run start offsets into the result."""
+            src, counts, _ = _segments(np.asarray(start), run_layout_a)
+            return np.asarray(local)[src], np.concatenate(([0], np.cumsum(counts)))
+
+        rows, self.run_row_start = spread(starts[0], lay_rows)
+        self.row_run = np.repeat(np.arange(J), np.diff(self.run_row_start))
+        core_row, self.core_start = spread(starts[1], lay_core)
+        ctx_row, self.ctx_start = spread(starts[2], lay_ctx)
+        # Layout-local rows become table rows: add each run's first row.
+        row_first = self.run_row_start[:-1]
+        self.core_row = core_row + np.repeat(row_first, np.diff(self.core_start))
+        self.ctx_row = ctx_row + np.repeat(row_first, np.diff(self.ctx_start))
+
+        occ, self.row_cores, tpc, ilp_scale, disp_w = rows.astype(float).T
+        R = len(occ)
         self.n_rows = R
-        self.run_row_start = np.asarray(row_start, dtype=int)
-        self.core_row = np.asarray(core_rows, dtype=int)
-        self.core_occ = np.asarray(core_occ, dtype=float)
-        self.core_start = np.asarray(core_start, dtype=int)
-        self.ctx_row = np.asarray(ctx_rows, dtype=int)
-        self.ctx_start = np.asarray(ctx_start, dtype=int)
-        self.row_run = np.repeat(
-            np.arange(J), np.diff(self.run_row_start)
-        )
-
-        occ = np.asarray(occ_l, dtype=float)
-        tpc = np.asarray(tpc_l, dtype=float)
-        extra = np.asarray(extra_l, dtype=float)
         self.row_occ = occ
-        self.row_cores = np.asarray(cores_l, dtype=float)
-
-        # Per-row stream parameters (one stream per run: SPMD threads).
-        ilp = np.empty(R)
-        mlp = np.empty(R)
-        br_base = np.empty(R)
-        l1 = np.empty(R)
-        l2 = np.empty(R)
-        l3 = np.empty(R)
-        alpha = np.empty(R)
-        d = np.empty(R)
-        wb = np.empty(R)
-        mix = np.empty((R, N_CLASSES))
-        ilp_scale = np.empty(R)
-        disp_w = np.empty(R)
-        resources_by_mode: Dict[int, Tuple[float, float]] = {}
-        for r in range(R):
-            spec = specs[self.row_run[r]]
-            stream = spec.stream
-            mem = stream.memory
-            ilp[r] = stream.ilp
-            mlp[r] = stream.mlp
-            br_base[r] = stream.branch_mispredict_rate
-            l1[r] = mem.l1_mpki
-            l2[r] = mem.l2_mpki
-            l3[r] = mem.l3_mpki
-            alpha[r] = mem.locality_alpha
-            d[r] = mem.data_sharing
-            wb[r] = mem.writeback_factor
-            mix[r] = stream.mix.vector
-            mode = mode_l[r]
-            cached = resources_by_mode.get(mode)
-            if cached is None:
-                cached = (
-                    arch.partition.thread_resources(mode).ilp_scale,
-                    arch.partition.core_dispatch_width(mode),
-                )
-                resources_by_mode[mode] = cached
-            ilp_scale[r], disp_w[r] = cached
-        self.row_mix = mix
         self.row_disp_w = disp_w
+        self.core_occ = occ[self.core_row]
+        extra = np.asarray(run_extra)[self.row_run]
+
+        # Per-row stream parameters (one stream per run: SPMD threads),
+        # read once per distinct stream and gathered by row.
+        row_stream = self.run_stream[self.row_run]
+        ilp, mlp, br_base, l1, l2, l3, alpha, d, wb = np.array([
+            (s.ilp, s.mlp, s.branch_mispredict_rate, s.memory.l1_mpki,
+             s.memory.l2_mpki, s.memory.l3_mpki, s.memory.locality_alpha,
+             s.memory.data_sharing, s.memory.writeback_factor)
+            for s in self.streams
+        ])[row_stream].T
+        self.row_mix = np.array([s.mix.vector for s in self.streams])[row_stream]
 
         # ---- mult-independent precompute (mirrors CoreBatch.__init__) -
         # Homogeneous rows: the clipped footprint-heat self-ratio is
@@ -493,32 +505,28 @@ class ScenarioTable:
         base_sol, base_mults = view.chip_phase(np.zeros(len(view)))
         ipc_sum = view.thread_ipc_sum(base_sol)
 
-        # Per-run sync profile evaluation (cheap Python: a few dataclass
-        # method calls per run; everything heavy stays columnar).
-        loop_local: List[int] = []
-        for pos, j in enumerate(run_idx):
-            spec = self.specs[j]
-            n = self.ns[j]
-            runnable = spec.sync.runnable_fraction(n)
-            holder_rate = (ipc_sum[pos] / self.run_n[j]) * self.freq
-            lock_cap = spec.sync.lock_throughput_cap(float(holder_rate), n)
-            spin0 = spec.sync.spin_fraction(n)
-            runnable_a[j] = runnable
-            blocked_a[j] = spec.sync.blocked_fraction(n)
-            lock_cap_a[j] = lock_cap
-            spin0_a[j] = spin0
-            base_mult[j] = base_mults[pos]
-            base_traffic[j] = base_sol.run_traffic[pos]
-            if spin0 == 0.0 and math.isinf(lock_cap):
-                sync_free[j] = True
-                useful_rate[j] = ipc_sum[pos] * self.freq * runnable
-                mult[j] = base_mults[pos]
-                run_traffic[j] = base_sol.run_traffic[pos]
-                spin_final[j] = spin0
-                w_blend[j] = spin0
-            else:
-                loop_local.append(pos)
-                spin_final[j] = spin0
+        # Per-run sync profile evaluation (a few dataclass method calls
+        # per run; everything else is whole-array).
+        syncs = [self.specs[j].sync for j in run_idx.tolist()]
+        ns = [self.ns[j] for j in run_idx.tolist()]
+        holder_rate = (ipc_sum / self.run_n[run_idx]) * self.freq
+        runnable_a[run_idx] = [s.runnable_fraction(n) for s, n in zip(syncs, ns)]
+        blocked_a[run_idx] = [s.blocked_fraction(n) for s, n in zip(syncs, ns)]
+        spin0_a[run_idx] = [s.spin_fraction(n) for s, n in zip(syncs, ns)]
+        lock_cap_a[run_idx] = [
+            s.lock_throughput_cap(h, n)
+            for s, h, n in zip(syncs, holder_rate.tolist(), ns)
+        ]
+        base_mult[run_idx] = base_mults
+        base_traffic[run_idx] = base_sol.run_traffic
+        spin_final[run_idx] = spin0_a[run_idx]
+        free = (spin0_a[run_idx] == 0.0) & np.isinf(lock_cap_a[run_idx])
+        sync_free[run_idx] = free
+        free_idx = run_idx[free]
+        useful_rate[free_idx] = ipc_sum[free] * self.freq * runnable_a[free_idx]
+        mult[free_idx] = base_mults[free]
+        run_traffic[free_idx] = base_sol.run_traffic[free]
+        loop_idx = run_idx[~free]     # w_blend stays 0 (= spin0) for free runs
 
         # Scatter the base solution into the reported rows (overwritten
         # below for runs that enter the spin loop).
@@ -527,12 +535,11 @@ class ScenarioTable:
 
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.add("table.sync_free_runs", len(run_idx) - len(loop_local))
-            if loop_local:
-                tracer.add("table.spin_iterations", SPIN_ITERATIONS * len(loop_local))
+            tracer.add("table.sync_free_runs", len(run_idx) - len(loop_idx))
+            if len(loop_idx):
+                tracer.add("table.spin_iterations", SPIN_ITERATIONS * len(loop_idx))
 
-        if loop_local:
-            loop_idx = run_idx[np.asarray(loop_local, dtype=int)]
+        if len(loop_idx):
             lview = self.view(loop_idx)
             spins = spin0_a[loop_idx]
             spin0 = spin0_a[loop_idx]
@@ -581,76 +588,79 @@ class ScenarioTable:
 
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
         ``run_idx`` at once: the only per-run Python work is the seeded
-        RNG stream (one ``standard_normal`` block per run, replicating
-        the scalar draw order bit-for-bit) and the result dataclasses.
+        RNG stream of each noisy run (one ``standard_normal`` block,
+        replicating the scalar draw order bit-for-bit) and the result
+        dataclasses, built from ``tolist()`` rows.
         """
         if run_idx is None:
             run_idx = np.arange(self.n_runs)
         run_idx = np.asarray(run_idx, dtype=int)
-        arch = self.arch
-        freq = self.freq
-        E = self.n_events
-        _engine._warm_serial_rates(arch, [self.specs[j].stream for j in run_idx])
-
         m = len(run_idx)
-        # Times + jitter (scalar arithmetic per run mirrors account_run /
-        # _jitter_times exactly; the draws come from one block per run).
-        times_list: List[TimeAccounting] = []
-        z_blocks: List[Optional[np.ndarray]] = []
-        for j in run_idx:
-            spec = self.specs[j]
-            n = self.ns[j]
-            inflation = spec.sync.work_inflation(n)
-            serial_rate = _engine._serial_rate(spec.system, spec.stream)
-            times = account_run(
-                useful_instructions=spec.useful_instructions * inflation,
-                parallel_useful_rate=float(state.useful_rate[j]),
-                serial_rate=serial_rate,
-                sync=spec.sync,
-                n_threads=n,
-            )
-            rng = RngStream(spec.seed, ("run", arch.name, spec.smt_level, n))
-            if spec.noise_rel > 0:
-                z = rng.gen.standard_normal(2 + n * E)
-                wall_factor = max(0.5, 1.0 + spec.noise_rel * z[0])
-                cpu_factor = max(0.5, 1.0 + (spec.noise_rel * 0.5) * z[1])
-                total_cpu = min(
-                    times.total_cpu_s * wall_factor * cpu_factor,
-                    times.wall_time_s * wall_factor * times.n_threads,
-                )
-                times = TimeAccounting(
-                    wall_time_s=times.wall_time_s * wall_factor,
-                    serial_time_s=times.serial_time_s * wall_factor,
-                    parallel_time_s=times.parallel_time_s * wall_factor,
-                    total_cpu_s=total_cpu,
-                    n_threads=times.n_threads,
-                )
-                z_blocks.append(z[2:])
-            else:
-                z_blocks.append(None)
-            times_list.append(times)
+        if m == 0:
+            return []
+        arch = self.arch
+        E = self.n_events
+        specs = [self.specs[j] for j in run_idx.tolist()]
+        ns = [self.ns[j] for j in run_idx.tolist()]
+        n = self.run_n[run_idx]
 
-        # Final blended mix (reported spin) and derived port fractions.
-        spin = state.spin_final[run_idx]
-        base_mix = np.stack([self.specs[j].stream.mix.vector for j in run_idx])
-        bm = (1.0 - spin)[:, None] * base_mix + spin[:, None] * _SPIN_VEC[None, :]
-        bm = np.clip(bm, 0.0, None)
-        bm = bm / bm.sum(axis=1, keepdims=True)
-        port_fracs = bm @ self.routing_t                      # (m, P)
+        # Serial rates: one memo lookup per distinct stream.
+        stream_sel = self.run_stream[run_idx]
+        distinct = list(dict.fromkeys(stream_sel.tolist()))
+        _engine._warm_serial_rates(arch, [self.streams[s] for s in distinct])
+        rates = np.zeros(len(self.streams))
+        for s in distinct:
+            rates[s] = _engine._serial_rate(specs[0].system, self.streams[s])
 
         runnable = state.runnable[run_idx]
-        par_cycles = (
-            np.array([t.parallel_time_s for t in times_list]) * freq * runnable
+        wall, serial_t, par_t, total_cpu = account_runs(
+            useful_instructions=np.array([
+                spec.useful_instructions * spec.sync.work_inflation(nj)
+                for spec, nj in zip(specs, ns)
+            ]),
+            parallel_useful_rate=state.useful_rate[run_idx],
+            serial_rate=rates[stream_sel],
+            serial_fraction=np.array([spec.sync.serial_fraction for spec in specs]),
+            runnable=runnable,
+            n_threads=n,
         )
 
+        # Wall/CPU jitter (mirrors _jitter_times); the draws come from
+        # one block per noisy run, whose tail jitters the counters.
+        # Noise-free runs get factors of exactly 1 and keep their times.
+        noise = self.run_noise[run_idx]
+        noisy = noise > 0
+        z_head = np.zeros((m, 2))
+        z_blocks: List[np.ndarray] = []
+        for pos in np.flatnonzero(noisy).tolist():
+            spec = specs[pos]
+            rng = RngStream(spec.seed, ("run", arch.name, spec.smt_level, ns[pos]))
+            z = rng.gen.standard_normal(2 + ns[pos] * E)
+            z_head[pos] = z[:2]
+            z_blocks.append(z[2:])
+        wall_factor = np.maximum(0.5, 1.0 + noise * z_head[:, 0])
+        cpu_factor = np.maximum(0.5, 1.0 + (noise * 0.5) * z_head[:, 1])
+        total_cpu = np.where(noisy, np.minimum(
+            total_cpu * wall_factor * cpu_factor, wall * wall_factor * n,
+        ), total_cpu)
+        wall = wall * wall_factor
+        serial_t = serial_t * wall_factor
+        par_t = par_t * wall_factor
+        times_list = [
+            TimeAccounting(w, s, p, c, nj)
+            for (w, s, p, c), nj in zip(
+                np.column_stack([wall, serial_t, par_t, total_cpu]).tolist(), ns
+            )
+        ]
+
+        # Final blended mix (reported spin) and derived port fractions.
+        run_mix = self.row_mix[self.run_row_start[run_idx]]   # a run's rows share it
+        bm = _spin_blend(run_mix, state.spin_final[run_idx])
+        port_fracs = bm @ self.routing_t                      # (m, P)
+        par_cycles = par_t * self.freq * runnable
+
         # Flattened context axis over the selected runs.
-        ctx_sel = np.concatenate(
-            [np.arange(self.ctx_start[j], self.ctx_start[j + 1]) for j in run_idx]
-        )
-        ctx_counts = np.array(
-            [self.ctx_start[j + 1] - self.ctx_start[j] for j in run_idx], dtype=int
-        )
-        ctx_seg = np.concatenate(([0], np.cumsum(ctx_counts)))[:-1]
+        ctx_sel, ctx_counts, ctx_seg = _segments(self.ctx_start, run_idx)
         ctx_row = self.ctx_row[ctx_sel]
         ctx_run = np.repeat(np.arange(m), ctx_counts)         # view-local
 
@@ -672,23 +682,14 @@ class ScenarioTable:
         # Counter jitter: one factor per (context, event), drawn in the
         # scalar per-context order; noise-free runs multiply by exactly 1.
         Z = np.zeros((len(ctx_sel), E))
-        for pos in range(m):
-            z = z_blocks[pos]
-            if z is not None:
-                lo, hi = ctx_seg[pos], ctx_seg[pos] + ctx_counts[pos]
-                Z[lo:hi] = z.reshape(ctx_counts[pos], E)
-        factors = np.maximum(0.05, 1.0 + self.run_noise[run_idx][ctx_run][:, None] * Z)
+        if z_blocks:
+            Z[noisy[ctx_run]] = np.concatenate(z_blocks).reshape(-1, E)
+        factors = np.maximum(0.05, 1.0 + noise[ctx_run][:, None] * Z)
         V = V * factors
         sums = np.add.reduceat(V, ctx_seg, axis=0)            # (m, E)
 
         # Occupancy-weighted dispatch-held per run (mirrors np.average).
-        core_sel = np.concatenate(
-            [np.arange(self.core_start[j], self.core_start[j + 1]) for j in run_idx]
-        )
-        core_counts = np.array(
-            [self.core_start[j + 1] - self.core_start[j] for j in run_idx], dtype=int
-        )
-        core_seg = np.concatenate(([0], np.cumsum(core_counts)))[:-1]
+        core_sel, _, core_seg = _segments(self.core_start, run_idx)
         held_core = state.held_rows[self.core_row[core_sel]]
         occ_core = self.core_occ[core_sel]
         mdh = (
@@ -697,37 +698,39 @@ class ScenarioTable:
         )
 
         cap = self.run_cap[run_idx]
-        traffic = state.run_traffic[run_idx]
-        mem_util = np.minimum(traffic, cap) / cap
+        mem_util = np.minimum(state.run_traffic[run_idx], cap) / cap
 
-        thread_ipc = state.x_rows[ctx_row]
         names = self.event_names
-        results: List[RunResult] = []
-        for pos, j in enumerate(run_idx):
-            spec = self.specs[j]
-            lo, hi = ctx_seg[pos], ctx_seg[pos] + ctx_counts[pos]
-            events = {name: float(sums[pos, e]) for e, name in enumerate(names)}
-            results.append(
-                RunResult(
-                    arch=arch,
-                    smt_level=spec.smt_level,
-                    n_threads=self.ns[j],
-                    n_chips=spec.system.n_chips,
-                    useful_instructions=spec.useful_instructions,
-                    times=times_list[pos],
-                    events=events,
-                    spin_fraction=float(state.spin_final[j]),
-                    blocked_fraction=float(state.blocked[j]),
-                    mem_latency_mult=float(state.mult[j]),
-                    mem_utilization=float(mem_util[pos]),
-                    per_thread_ipc=tuple(float(v) for v in thread_ipc[lo:hi]),
-                    dispatch_held_fraction=float(mdh[pos]),
-                )
+        thread_ipc = state.x_rows[ctx_row].tolist()
+        bounds = np.concatenate((ctx_seg, [len(ctx_sel)])).tolist()
+        return [
+            RunResult(
+                arch=arch,
+                smt_level=spec.smt_level,
+                n_threads=nj,
+                n_chips=spec.system.n_chips,
+                useful_instructions=spec.useful_instructions,
+                times=times,
+                events=dict(zip(names, events)),
+                spin_fraction=spin,
+                blocked_fraction=blocked,
+                mem_latency_mult=mult,
+                mem_utilization=util,
+                per_thread_ipc=tuple(thread_ipc[bounds[pos]:bounds[pos + 1]]),
+                dispatch_held_fraction=held,
             )
-        return results
+            for pos, (spec, nj, times, events, spin, blocked, mult, util, held)
+            in enumerate(zip(
+                specs, ns, times_list, sums.tolist(),
+                state.spin_final[run_idx].tolist(), state.blocked[run_idx].tolist(),
+                state.mult[run_idx].tolist(), mem_util.tolist(), mdh.tolist(),
+            ))
+        ]
 
     def run(self, run_idx: Optional[np.ndarray] = None) -> List[RunResult]:
         """Drive the fixed point and finalize, columnar end to end."""
+        if run_idx is not None and len(run_idx) == 0:
+            return []
         state = self.drive(run_idx)
         return self.finalize(state, run_idx)
 

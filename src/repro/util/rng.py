@@ -13,6 +13,7 @@ threading a generator object through every call site.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -77,9 +78,19 @@ class RngStream:
 def _key_to_int(key: Key) -> int:
     if isinstance(key, int):
         return key & 0xFFFFFFFF
+    return _fnv1a(str(key))
+
+
+#: Stream keys repeat (arch names, component labels), so the byte loop
+#: is memoized; the bound keeps arbitrary user keys from growing it.
+_FNV_CACHE_MAX = 4096
+
+
+@lru_cache(maxsize=_FNV_CACHE_MAX)
+def _fnv1a(text: str) -> int:
     # FNV-1a over the utf-8 bytes: stable across processes (unlike hash()).
     h = 0x811C9DC5
-    for byte in str(key).encode("utf-8"):
+    for byte in text.encode("utf-8"):
         h ^= byte
         h = (h * 0x01000193) & 0xFFFFFFFF
     return h

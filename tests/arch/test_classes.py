@@ -96,6 +96,14 @@ class TestOperations:
         assert a == b and hash(a) == hash(b)
         assert a != Mix([0.6, 0.1, 0.1, 0.1, 0.1])
 
+    @given(mixes())
+    def test_hash_is_cached_and_stable(self, m):
+        first = hash(m)
+        assert hash(m) == first
+        assert first == hash(tuple(np.round(m.vector, 12)))
+        twin = Mix(m.vector.copy())
+        assert twin == m and hash(twin) == first
+
     def test_as_dict_roundtrip(self):
         m = Mix([0.1, 0.2, 0.3, 0.2, 0.2])
         assert Mix(m.as_dict()) == m

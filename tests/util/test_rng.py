@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RngStream, spawn_rng
+from repro.util.rng import _FNV_CACHE_MAX, RngStream, _fnv1a, _key_to_int, spawn_rng
 
 
 class TestDeterminism:
@@ -77,3 +77,27 @@ class TestApiSurface:
         draws = RngStream(3).choice(3, size=500, p=[0.8, 0.1, 0.1])
         counts = np.bincount(draws, minlength=3)
         assert counts[0] > counts[1]
+
+
+class TestKeyToInt:
+    @pytest.mark.parametrize("key, value", [
+        ("run", 0x2ACD4ECA),
+        ("power7", 0x9C94CAE3),
+        ("nehalem", 0x56723CA3),
+        ("", 0x811C9DC5),
+        ("\u00e9", 0x1E9DE8C1),
+        (12, 12),
+        (-1, 0xFFFFFFFF),
+    ])
+    def test_pinned_fnv_values(self, key, value):
+        # Every stream of every golden is seeded through these values.
+        assert _key_to_int(key) == value
+        assert _key_to_int(key) == value  # memoized answer agrees
+
+    def test_memo_is_bounded(self):
+        for i in range(_FNV_CACHE_MAX + 100):
+            _key_to_int(f"key-{i}")
+        info = _fnv1a.cache_info()
+        assert info.maxsize == _FNV_CACHE_MAX
+        assert info.currsize <= _FNV_CACHE_MAX
+        assert _key_to_int("run") == 0x2ACD4ECA
