@@ -183,7 +183,8 @@ class CounterSample:
         (Nehalem) from the per-port issue counters.
         """
         if self.arch.metric_space == "class":
-            vec = np.array([self.class_counts()[k] for k in CLASS_ORDER], dtype=float)
+            counts = self.class_counts()
+            vec = np.array([counts[k] for k in CLASS_ORDER], dtype=float)
         else:
             vec = np.array(
                 [self.count(port_issue_event(p)) for p in self.arch.topology.port_names],

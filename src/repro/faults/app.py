@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.counters.groups import MultiplexSchedule
 from repro.counters.pmu import CounterSample
 from repro.faults.model import FaultConfig
@@ -98,14 +100,16 @@ class FaultyApp:
             if cfg.phase_spike_mult > 1.0 and self._last is not None:
                 self._spike_left = cfg.phase_spike_intervals
 
-        events = dict(sample.events)
-
         if cfg.noise_rel > 0:
+            # One vector draw fills the stream exactly as one scalar
+            # RngStream.jitter per event (in key order) would.
             self._record("noise")
-            events = {
-                name: self._noise.jitter(value, cfg.noise_rel)
-                for name, value in events.items()
-            }
+            raw = sample.events
+            z = self._noise.normal(0.0, cfg.noise_rel, len(raw))
+            values = np.fromiter(raw.values(), float, len(raw))
+            events = dict(zip(raw, (values * np.maximum(0.05, 1.0 + z)).tolist()))
+        else:
+            events = dict(sample.events)
 
         if cfg.heavy_tail_prob > 0 and self._tail.random() < cfg.heavy_tail_prob:
             # One wildly-wrong counter: a multiplicative log-normal

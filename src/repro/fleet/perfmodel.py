@@ -17,7 +17,10 @@ the discrete-event loop from the precomputed results:
 * :class:`NodeMeter` — the online measurable app whose ``advance``
   returns interval counters scaled from the reference run (the same
   linear model :class:`~repro.sim.online.SteadyApp` uses), which
-  :class:`~repro.faults.FaultyApp` then corrupts.
+  :class:`~repro.faults.FaultyApp` then corrupts.  The scaled sample
+  is built once per ``(arch, workload, level, interval)`` and shared
+  by every node: it is frozen, its events read-only, and corruption
+  works on a copy.
 
 Models are memoized per ``(arch set, workload set, strategy)``, so the
 benchmark's policy x severity grid pays for the solve once.
@@ -25,7 +28,8 @@ benchmark's policy x severity grid pays for the solve once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from repro.arch.registry import get_architecture
@@ -59,16 +63,45 @@ class FleetPerfModel:
     runs: Mapping[str, Mapping[str, Mapping[int, RunResult]]]
     #: predictors[arch][low_level] -> threshold vs. the arch max level.
     predictors: Mapping[str, Mapping[int, SmtPredictor]]
+    #: Shared interval samples, keyed (arch, workload, level, seconds).
+    _samples: Dict[Tuple[str, str, int, float], CounterSample] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def max_level(self, arch: str) -> int:
         return self.levels[arch][-1]
 
-    def reference(self, arch: str, workload: str, level: int) -> RunResult:
-        return self.runs[arch][workload][level]
-
     def wall_s(self, arch: str, workload: str, level: int) -> float:
         """Service seconds for a size-1.0 job of ``workload`` at ``level``."""
         return self.runs[arch][workload][level].times.wall_time_s
+
+    def sample(
+        self, arch: str, workload: str, level: int, wall_seconds: float
+    ) -> CounterSample:
+        """The reference run's counters scaled to ``wall_seconds``.
+
+        Built and validated on the first request for a key, then the
+        same frozen sample is returned to every caller.
+        """
+        key = (arch, workload, level, wall_seconds)
+        sample = self._samples.get(key)
+        if sample is None:
+            check_positive("wall_seconds", wall_seconds)
+            ref = self.runs[arch][workload][level]
+            scale = wall_seconds / ref.times.wall_time_s
+            sample = CounterSample(
+                arch=ref.arch,
+                smt_level=level,
+                events=MappingProxyType(
+                    {name: value * scale for name, value in ref.events.items()}
+                ),
+                wall_time_s=wall_seconds,
+                avg_thread_cpu_s=wall_seconds
+                * (ref.times.avg_thread_cpu_s / ref.times.wall_time_s),
+                n_software_threads=ref.n_threads,
+            )
+            self._samples[key] = sample
+        return sample
 
     def mean_service_s(
         self, arch: str, mix_weights: Mapping[str, float], mean_size: float
@@ -86,10 +119,11 @@ class NodeMeter:
 
     The measurable-app twin of :class:`~repro.sim.online.SteadyApp`,
     but served from the perf model's precomputed reference runs instead
-    of a fresh solver call: ``advance(dt)`` scales the reference run's
-    per-run counters to ``dt`` seconds of wall time at the current SMT
-    level.  A per-node :class:`~repro.faults.FaultyApp` wraps this and
-    corrupts what the controller sees.
+    of a fresh solver call: ``advance(dt)`` returns the model's shared
+    :meth:`FleetPerfModel.sample` — the reference run's per-run counters
+    scaled to ``dt`` seconds of wall time at the current SMT level.  A
+    per-node :class:`~repro.faults.FaultyApp` wraps this and corrupts
+    what the controller sees.
     """
 
     def __init__(self, model: FleetPerfModel, arch: str, workload: str, level: int):
@@ -116,17 +150,9 @@ class NodeMeter:
         self.retarget(self.workload, level)
 
     def advance(self, wall_seconds: float) -> CounterSample:
-        check_positive("wall_seconds", wall_seconds)
-        ref = self._model.reference(self._arch, self.workload, self.smt_level)
-        scale = wall_seconds / ref.times.wall_time_s
-        return CounterSample(
-            arch=ref.arch,
-            smt_level=self.smt_level,
-            events={name: value * scale for name, value in ref.events.items()},
-            wall_time_s=wall_seconds,
-            avg_thread_cpu_s=wall_seconds
-            * (ref.times.avg_thread_cpu_s / ref.times.wall_time_s),
-            n_software_threads=ref.n_threads,
+        """The model's shared sample for the current job and level."""
+        return self._model.sample(
+            self._arch, self.workload, self.smt_level, wall_seconds
         )
 
 

@@ -29,13 +29,30 @@ class RngStream:
     ``(root_seed, *keys)``.
     """
 
-    __slots__ = ("seed", "keys", "gen")
+    __slots__ = ("seed", "keys", "_gen")
 
     def __init__(self, seed: int, keys: tuple = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
         self.keys = tuple(keys)
-        material = [self.seed] + [_key_to_int(k) for k in self.keys]
-        self.gen = np.random.default_rng(np.random.SeedSequence(material))
+        self._gen = None
+
+    @property
+    def gen(self) -> np.random.Generator:
+        """The generator, seeded on first use.
+
+        Streams that only derive children never pay for a PCG64.  Key
+        material is always below 2**32, so a seed that also fits goes
+        in as one ``uint32`` array — the same entropy words the list
+        form coerces to, without the per-int conversion.
+        """
+        if self._gen is None:
+            material = [self.seed] + [_key_to_int(k) for k in self.keys]
+            if self.seed <= 0xFFFFFFFF:
+                material = np.array(material, dtype=np.uint32)
+            self._gen = np.random.default_rng(np.random.SeedSequence(material))
+        return self._gen
 
     def child(self, *keys: Key) -> "RngStream":
         """Derive an independent stream for a named sub-component."""

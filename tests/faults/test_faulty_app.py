@@ -1,10 +1,12 @@
 """Tests for the seeded fault-injection wrapper."""
 
+import math
+
 import pytest
 
 from repro.arch import power7
 from repro.counters.pmu import CounterSample
-from repro.faults import PROTECTED_EVENTS, FaultConfig, FaultyApp
+from repro.faults import PROTECTED_EVENTS, FaultConfig, FaultyApp, noise_profile
 
 pytestmark = pytest.mark.faults
 
@@ -181,3 +183,100 @@ class TestOtherAxes:
         for _ in range(5):
             faulty.advance(0.1)
         assert seen == [0.1] * 5
+
+
+def legacy_advance(app, wall_seconds):
+    """The per-event reference for :meth:`FaultyApp.advance`: one scalar
+    ``RngStream.jitter`` draw per event, otherwise the same fault steps
+    in the same order, on the app's own streams and state."""
+    sample = app.inner.advance(wall_seconds)
+    cfg = app.config
+    if not cfg.any_faults:
+        app._last = sample
+        return sample
+
+    phase = getattr(app.inner, "phase_name", None)
+    if phase != app._last_phase:
+        app._last_phase = phase
+        if cfg.phase_spike_mult > 1.0 and app._last is not None:
+            app._spike_left = cfg.phase_spike_intervals
+
+    events = dict(sample.events)
+    if cfg.noise_rel > 0:
+        app._record("noise")
+        events = {
+            name: app._noise.jitter(value, cfg.noise_rel)
+            for name, value in events.items()
+        }
+
+    if cfg.heavy_tail_prob > 0 and app._tail.random() < cfg.heavy_tail_prob:
+        names = sorted(events)
+        victim = names[int(app._tail.integers(0, len(names)))]
+        sigma = math.log(cfg.heavy_tail_scale)
+        factor = math.exp(abs(float(app._tail.normal(0.0, sigma)))) if sigma > 0 else 1.0
+        if factor > 1.0:
+            app._record("heavy_tail")
+            events[victim] = events[victim] * factor
+
+    if app._spike_left > 0:
+        app._spike_left -= 1
+        app._record("phase_spike")
+        for name in ("DISP_HELD_RES", "BR_MISPRED"):
+            if name in events:
+                events[name] = events[name] * cfg.phase_spike_mult
+
+    if cfg.dropout_prob > 0 and app._drop.random() < cfg.dropout_prob:
+        groups = app._groups(sample).groups
+        group = groups[int(app._drop.integers(0, len(groups)))]
+        removed = [
+            name for name in group.events
+            if name in events and name not in PROTECTED_EVENTS
+        ]
+        if removed:
+            app._record("dropout")
+            for name in removed:
+                del events[name]
+
+    corrupted = CounterSample(
+        arch=sample.arch,
+        smt_level=sample.smt_level,
+        events=events,
+        wall_time_s=sample.wall_time_s,
+        avg_thread_cpu_s=sample.avg_thread_cpu_s,
+        n_software_threads=sample.n_software_threads,
+    )
+    if (
+        cfg.stale_prob > 0
+        and app._last is not None
+        and app._stale.random() < cfg.stale_prob
+    ):
+        app._record("stale")
+        return app._last
+    app._last = corrupted
+    return corrupted
+
+
+class TestVectorNoiseOracle:
+    """One vector noise draw must reproduce the per-event jitter loop."""
+
+    @pytest.mark.parametrize("severity", [0.1, 0.4, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**32 + 5])
+    def test_matches_per_event_jitter(self, severity, seed):
+        config = noise_profile(severity)
+        fast_inner, ref_inner = StationaryApp(), StationaryApp()
+        fast = FaultyApp(fast_inner, config, seed=seed)
+        ref = FaultyApp(ref_inner, config, seed=seed)
+        fast_seen, ref_seen = [], []
+        for step in range(20):
+            # Phase changes every few intervals so spikes interleave
+            # with the other faults.
+            fast_inner.phase_name = ref_inner.phase_name = f"phase-{step // 6}"
+            got = fast.advance(0.1)
+            want = legacy_advance(ref, 0.1)
+            assert list(got.events.items()) == list(want.events.items())
+            # A stale read hands back the same earlier object on both.
+            fast_seen.append(got)
+            ref_seen.append(want)
+            assert [s is got for s in fast_seen] == [s is want for s in ref_seen]
+        assert fast.injections == ref.injections
+        assert fast.injections.get("noise") == 20

@@ -5,6 +5,7 @@ hundred jobs) so the whole module stays in tier-1 time; the full-size
 policy comparison lives in ``scripts/bench_fleet.py``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -137,3 +138,22 @@ class TestFaultInjection:
         assert result.node_crashes == 0
         assert result.node_hangs == 0
         assert result.rejected_crashed == 0
+
+
+class TestPinnedPayloads:
+    """sha256 of ``json.dumps(payload, sort_keys=True)`` for three small
+    fleets.  A drift in any RNG stream, in the fault-injected telemetry
+    path or in the controllers shows up here as a changed digest."""
+
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(arch_mix="power7:3,nehalem:1", policy="smtsm", severity=0.2),
+         "86275b2533b82579e6084be2662d09883f8a73a503039b63aea49dd4a4ebfd29"),
+        (dict(policy="least_loaded", severity=0.4),
+         "ae20fa6fbcdef7097f215ca16fb935bc58285703adfc845266e849c0a2a31038"),
+        (dict(arch_mix="power7,armsmt,biglittle", policy="random", severity=0.2),
+         "880577963d39963650b87388482659b7ce69c41fc2c99e1eba77644c1750aca2"),
+    ])
+    def test_payload_digest(self, overrides, digest):
+        payload = simulate_fleet(chips=8, jobs=400, **overrides).payload()
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

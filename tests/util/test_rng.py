@@ -101,3 +101,52 @@ class TestKeyToInt:
         assert info.maxsize == _FNV_CACHE_MAX
         assert info.currsize <= _FNV_CACHE_MAX
         assert _key_to_int("run") == 0x2ACD4ECA
+
+
+def list_seeded(seed, keys):
+    """A generator seeded the way every stream was before lazy seeding:
+    the entropy as a plain list of Python ints."""
+    material = [seed] + [_key_to_int(k) for k in keys]
+    return np.random.default_rng(np.random.SeedSequence(material))
+
+
+class TestLazySeeding:
+    def test_child_only_streams_never_seed(self):
+        root = RngStream(5, ("fleet",))
+        root.child("node", 0).child("counters")
+        assert root._gen is None
+
+    def test_draws_after_children_match_eager_stream(self):
+        lazy = RngStream(5, ("fleet",))
+        for i in range(3):
+            lazy.child("node", i).random(4)
+        eager = RngStream(5, ("fleet",))
+        eager.gen  # seeded before any child exists
+        assert np.array_equal(lazy.random(20), eager.random(20))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1])
+    def test_uint32_entropy_matches_list_entropy(self, seed):
+        keys = ("run", "power7", 4, 32)
+        assert np.array_equal(
+            RngStream(seed, keys).random(50), list_seeded(seed, keys).random(50)
+        )
+
+    @pytest.mark.parametrize("seed, first", [
+        # First draws of RngStream(seed, ("pin",)), recorded before the
+        # uint32 entropy path existed.
+        (2**32, ["0x1.00b1f39e83b7ap-1", "0x1.ac4fbe8a4708ap-1",
+                 "0x1.dca9bf61d0ae6p-1"]),
+        (2**40 + 3, ["0x1.095fb06154504p-3", "0x1.4b60aa6db8374p-1",
+                     "0x1.411144c33c4e6p-1"]),
+    ])
+    def test_wide_seeds_keep_pinned_draws(self, seed, first):
+        stream = RngStream(seed, ("pin",))
+        assert [float.hex(x) for x in stream.random(3)] == first
+        assert np.array_equal(
+            RngStream(seed, ("pin",)).random(3),
+            list_seeded(seed, ("pin",)).random(3),
+        )
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RngStream(-1, ("x",))
