@@ -67,20 +67,26 @@ def smtsm(sample: CounterSample) -> SmtsmResult:
     per-port) issue counters for the mix term, the dispatch-held
     counter for the second term, and wall/CPU times for the third.
     """
-    arch = sample.arch
-    fractions = sample.metric_fractions()
-    ideal = arch.ideal_vector()
-    deviation = float(np.sqrt(np.sum((fractions - ideal) ** 2)))
-    held = sample.dispatch_held_fraction
-    scalability = sample.scalability_ratio
+    deviation, held, scalability = _smtsm_terms(sample)
     return SmtsmResult(
         value=deviation * held * scalability,
         mix_deviation=deviation,
         dispatch_held=held,
         scalability_ratio=scalability,
         smt_level=sample.smt_level,
-        arch_name=arch.name,
+        arch_name=sample.arch.name,
     )
+
+
+def _smtsm_terms(sample: CounterSample) -> Tuple[float, float, float]:
+    """The three Eq. 1 factors: mix deviation, dispatch-held fraction,
+    scalability ratio.  The value is their product, in that order; the
+    online controller reads them without building an
+    :class:`SmtsmResult` per sample."""
+    fractions = sample.metric_fractions()
+    ideal = sample.arch.ideal_vector()
+    deviation = float(np.sqrt(np.sum((fractions - ideal) ** 2)))
+    return deviation, sample.dispatch_held_fraction, sample.scalability_ratio
 
 
 def smtsm_from_run(result: RunResult) -> SmtsmResult:

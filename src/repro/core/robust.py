@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.metric import smtsm
+from repro.core.metric import _smtsm_terms, smtsm
 from repro.core.predictor import SmtPredictor
 from repro.counters.events import CLASS_COUNT_EVENTS, port_issue_event
 from repro.counters.pmu import CounterSample
@@ -65,33 +65,38 @@ def _metric_event_names(arch) -> Tuple[str, ...]:
 
 def robust_smtsm(sample: CounterSample) -> RobustSmtsm:
     """Evaluate SMTsm, degrading gracefully on missing events."""
+    value, confidence, missing = _estimate(sample)
+    return RobustSmtsm(
+        value=value,
+        confidence=confidence,
+        degraded=bool(missing),
+        missing_events=missing,
+        smt_level=sample.smt_level,
+        arch_name=sample.arch.name,
+    )
+
+
+def _estimate(
+    sample: CounterSample,
+) -> Tuple[Optional[float], float, Tuple[str, ...]]:
+    """``(value, confidence, missing_events)`` of :func:`robust_smtsm`."""
     arch = sample.arch
     names = _metric_event_names(arch)
     missing = tuple(n for n in names if n not in sample.events)
     if not missing:
-        full = smtsm(sample)
-        return RobustSmtsm(
-            value=full.value,
-            confidence=1.0,
-            degraded=False,
-            missing_events=(),
-            smt_level=sample.smt_level,
-            arch_name=arch.name,
-        )
+        deviation, held, scalability = _smtsm_terms(sample)
+        if held < 0:
+            # The one factor a valid sample can still get wrong;
+            # smtsm() refuses it too.
+            raise ValueError(f"dispatch_held must be >= 0, got {held}")
+        return deviation * held * scalability, 1.0, ()
 
     ideal = arch.ideal_vector()
     present = [i for i, n in enumerate(names) if n not in missing]
     observed_mass = float(sum(ideal[i] for i in present))
     observed_total = float(sum(sample.events[names[i]] for i in present))
     if observed_mass <= 0.0 or observed_total <= 0.0:
-        return RobustSmtsm(
-            value=None,
-            confidence=0.0,
-            degraded=True,
-            missing_events=missing,
-            smt_level=sample.smt_level,
-            arch_name=arch.name,
-        )
+        return None, 0.0, missing
 
     # Assume the unobserved classes sat exactly at their ideal share:
     # estimate the grand total from the observed slice, then fill the
@@ -104,14 +109,7 @@ def robust_smtsm(sample: CounterSample) -> RobustSmtsm:
         deviation_sq += (frac - float(ideal[i])) ** 2
     deviation = math.sqrt(deviation_sq)
     value = deviation * sample.dispatch_held_fraction * sample.scalability_ratio
-    return RobustSmtsm(
-        value=value,
-        confidence=observed_mass,
-        degraded=True,
-        missing_events=missing,
-        smt_level=sample.smt_level,
-        arch_name=arch.name,
-    )
+    return value, observed_mass, missing
 
 
 @dataclass(frozen=True)
@@ -233,9 +231,24 @@ class HardenedController:
 
     def observe(self, sample: CounterSample) -> ControllerDecision:
         """Fold one interval in; maybe decide to switch levels."""
+        index = self._n
+        raw, confidence, degraded, switched = self.fold(sample)
+        return ControllerDecision(
+            index=index, level=self.level, raw=raw, smoothed=self.smoothed,
+            confidence=confidence, degraded=degraded, switched_to=switched,
+        )
+
+    def fold(
+        self, sample: CounterSample
+    ) -> Tuple[Optional[float], float, bool, Optional[int]]:
+        """Fold one interval into the controller state, in place.
+
+        Returns ``(raw, confidence, degraded, switched_to)``, the
+        per-sample fields of :meth:`observe`'s decision record, which
+        callers that only read :attr:`level` never build.
+        """
         tracer = get_tracer()
         cfg = self.config
-        index = self._n
         self._n += 1
         switched: Optional[int] = None
 
@@ -249,29 +262,20 @@ class HardenedController:
             elif self._blind >= cfg.probe_every:
                 switched = self._switch(self.max_level)
                 tracer.add("controller.probes")
-            return ControllerDecision(
-                index=index, level=self.level, raw=None,
-                smoothed=self.smoothed, confidence=0.0, degraded=False,
-                switched_to=switched,
-            )
+            return None, 0.0, False, switched
         self._blind = 0
 
-        estimate = robust_smtsm(sample)
-        if estimate.degraded:
+        raw, confidence, missing = _estimate(sample)
+        if missing:
             tracer.add("controller.degraded")
-        if estimate.value is None:
+        if raw is None:
             # Nothing measurable this interval; hold everything.
             tracer.add("controller.skipped")
             if self._cooldown > 0:
                 self._cooldown -= 1
-            return ControllerDecision(
-                index=index, level=self.level, raw=None,
-                smoothed=self.smoothed, confidence=0.0, degraded=True,
-                switched_to=None,
-            )
+            return None, 0.0, True, None
 
-        raw = estimate.value
-        weight = cfg.ewma_alpha * estimate.confidence
+        weight = cfg.ewma_alpha * confidence
         if self.smoothed is None:
             self.smoothed = raw
         else:
@@ -284,18 +288,14 @@ class HardenedController:
         if self._cooldown > 0:
             self._cooldown -= 1
             tracer.add("controller.held_cooldown")
-        elif self._n >= cfg.warmup_samples and estimate.confidence >= cfg.min_confidence:
+        elif self._n >= cfg.warmup_samples and confidence >= cfg.min_confidence:
             target = self._target(self.smoothed)
             if target != self.level:
                 switched = self._switch(target)
-        elif estimate.confidence < cfg.min_confidence:
+        elif confidence < cfg.min_confidence:
             tracer.add("controller.held_confidence")
 
-        return ControllerDecision(
-            index=index, level=self.level, raw=raw, smoothed=self.smoothed,
-            confidence=estimate.confidence, degraded=estimate.degraded,
-            switched_to=switched,
-        )
+        return raw, confidence, bool(missing), switched
 
     def _switch(self, target: int) -> int:
         self.level = target

@@ -19,7 +19,7 @@ in :attr:`FaultyApp.injections` and, when telemetry is on, in
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,13 +34,32 @@ from repro.util.rng import RngStream
 #: always-programmed counters).
 PROTECTED_EVENTS = ("CYCLES", "INSTRUCTIONS", "DISP_HELD_RES")
 
+#: Derived schedules, one per architecture object (schedules are
+#: immutable, so every app on a machine shares one).  Keyed by ``id``
+#: with the architecture kept alive, so a key is never reused while
+#: cached; the bound keeps throwaway architectures from growing it.
+_SCHEDULES: Dict[int, Tuple[object, MultiplexSchedule]] = {}
+_SCHEDULES_MAX = 64
+
+
+def _schedule_for(arch) -> MultiplexSchedule:
+    hit = _SCHEDULES.get(id(arch))
+    if hit is None or hit[0] is not arch:
+        from repro.counters.arch_groups import groups_for
+
+        if len(_SCHEDULES) >= _SCHEDULES_MAX:
+            _SCHEDULES.clear()
+        hit = _SCHEDULES[id(arch)] = (arch, groups_for(arch))
+    return hit[1]
+
 
 class FaultyApp:
     """Wrap a ``MeasurableApp`` and corrupt its counter samples.
 
     ``schedule`` names the multiplex groups that dropout removes as a
     unit; when omitted it is derived from the sample's architecture via
-    :func:`repro.counters.arch_groups.groups_for` on first use.
+    :func:`repro.counters.arch_groups.groups_for` on first use, once per
+    architecture.
     """
 
     def __init__(
@@ -75,15 +94,20 @@ class FaultyApp:
         self.inner.switch_level(level)
 
     # -- fault plumbing ------------------------------------------------
+    def rng_streams(self) -> Tuple[RngStream, ...]:
+        """The streams :meth:`advance` draws from (none without faults),
+        for callers that seed many apps' streams in one batch."""
+        if not self.config.any_faults:
+            return ()
+        return (self._noise, self._tail, self._drop, self._stale)
+
     def _record(self, kind: str) -> None:
         self.injections[kind] = self.injections.get(kind, 0) + 1
         get_tracer().add(f"faults.{kind}")
 
     def _groups(self, sample: CounterSample) -> MultiplexSchedule:
         if self._schedule is None:
-            from repro.counters.arch_groups import groups_for
-
-            self._schedule = groups_for(sample.arch)
+            self._schedule = _schedule_for(sample.arch)
         return self._schedule
 
     def advance(self, wall_seconds: float) -> CounterSample:

@@ -14,7 +14,7 @@ level each job actually ran at and counts real SMT transitions.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from repro.counters.pmu import CounterSample
 from repro.faults.app import FaultyApp
@@ -84,6 +84,14 @@ class Node:
         if level != self.level:
             self.level = level
             self.n_smt_switches += 1
+
+    def rng_streams(
+        self, *, lifecycle: bool, telemetry: bool
+    ) -> Tuple[RngStream, ...]:
+        """The streams a run draws from on this node: ``lifecycle``
+        (crash/hang draws) and the counter corruption of :meth:`measure`."""
+        own = (self.fault_rng,) if lifecycle else ()
+        return own + (self.faulty.rng_streams() if telemetry else ())
 
     def measure(self, job: Job, interval_s: float) -> CounterSample:
         """One corrupted counter sample for the job that just finished."""

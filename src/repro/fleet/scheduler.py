@@ -43,11 +43,11 @@ from repro.fleet.policy import PlacementPolicy, make_policy
 from repro.fleet.trace import Job, generate_trace, mean_job_size, mix_weights
 from repro.obs import get_tracer
 from repro.sim.engine import DEFAULT_WORK
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, seed_streams
 
 __all__ = ["ControllerBank", "FleetResult", "FleetScheduler", "simulate_fleet"]
 
-_ARRIVE, _COMPLETE, _RESTART = 0, 1, 2
+_COMPLETE, _RESTART = 1, 2
 
 
 class ControllerBank:
@@ -83,8 +83,9 @@ class ControllerBank:
     def level(self, arch: str, workload: str) -> int:
         return self.controller(arch, workload).level
 
-    def observe(self, arch: str, workload: str, sample):
-        return self.controller(arch, workload).observe(sample)
+    def observe(self, arch: str, workload: str, sample) -> None:
+        """Fold one sample into the pair's controller (no decision record)."""
+        self.controller(arch, workload).fold(sample)
 
     @property
     def n_switches(self) -> int:
@@ -192,7 +193,11 @@ def _expand_arch_mix(spec: str, chips: int) -> List[str]:
 
 
 class FleetScheduler:
-    """One simulation run: owns nodes, policy, bank, and the event heap."""
+    """One simulation run: owns nodes, policy, bank, and the event heap.
+
+    The heap holds completions and restarts only; arrivals come from
+    the time-sorted trace and are merged in by :meth:`_run_events`.
+    """
 
     def __init__(self, config: FleetConfig):
         strategy = str(config.strategy)
@@ -226,6 +231,14 @@ class FleetScheduler:
 
         self._crash_p = config.crash_prob * config.severity
         self._hang_p = config.hang_prob * config.severity
+        # Every stream a node will draw from, seeded in one batch rather
+        # than one SeedSequence each on first use (same draws).
+        lifecycle = self._crash_p > 0 or self._hang_p > 0
+        telemetry = self.policy.uses_telemetry
+        seed_streams(
+            stream for node in self.nodes
+            for stream in node.rng_streams(lifecycle=lifecycle, telemetry=telemetry)
+        )
 
         # Offered load is calibrated against the fleet's *max-level*
         # capacity under the trace's workload mix, so every policy sees
@@ -316,6 +329,31 @@ class FleetScheduler:
         self._refresh_est(node, now)
 
     # -- the run -------------------------------------------------------
+    def _run_events(self, trace: List[Job]) -> None:
+        """Drain the time-sorted trace and the event heap in time order.
+
+        An arrival goes first when it ties with the heap's next event:
+        the order of one heap in which every arrival was pushed before
+        any completion (lower sequence numbers win ties).
+        """
+        heap = self._heap
+        nodes = self.nodes
+        n_jobs = len(trace)
+        i = 0
+        while i < n_jobs or heap:
+            if i < n_jobs and (not heap or trace[i].t_arrival <= heap[0][0]):
+                job = trace[i]
+                i += 1
+                self._last_t = job.t_arrival
+                self._arrive(job, job.t_arrival)
+                continue
+            now, _, kind, node_id, job = heapq.heappop(heap)
+            self._last_t = now
+            if kind == _COMPLETE:
+                self._complete(nodes[node_id], job, now)
+            else:  # _RESTART: recovered node rejoins the indexes
+                self._refresh_est(nodes[node_id], now)
+
     def run(self) -> FleetResult:
         config = self.config
         trace = generate_trace(
@@ -323,8 +361,6 @@ class FleetScheduler:
             self.rng.child("trace"),
         )
         horizon = trace[-1].t_arrival
-        for job in trace:
-            self._push(job.t_arrival, _ARRIVE, -1, job)
 
         tracer = get_tracer()
         with tracer.span(
@@ -332,15 +368,7 @@ class FleetScheduler:
             chips=config.chips, jobs=config.jobs,
             policy=str(config.policy), severity=config.severity,
         ):
-            while self._heap:
-                now, _, kind, node_id, job = heapq.heappop(self._heap)
-                self._last_t = now
-                if kind == _ARRIVE:
-                    self._arrive(job, now)
-                elif kind == _COMPLETE:
-                    self._complete(self.nodes[node_id], job, now)
-                else:  # _RESTART: recovered node rejoins the indexes
-                    self._refresh_est(self.nodes[node_id], now)
+            self._run_events(trace)
 
         makespan = self._last_t if self._last_t > 0 else 1.0
         horizon = horizon if horizon > 0 else makespan

@@ -52,7 +52,7 @@ from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
 from repro.simos.scheduler import place_threads
 from repro.simos.timebase import TimeAccounting, account_runs
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, seed_streams
 
 __all__ = ["ScenarioTable", "TableState", "simulate_many_columnar"]
 
@@ -589,8 +589,9 @@ class ScenarioTable:
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
         ``run_idx`` at once: the only per-run Python work is the seeded
         RNG stream of each noisy run (one ``standard_normal`` block,
-        replicating the scalar draw order bit-for-bit) and the result
-        dataclasses, built from ``tolist()`` rows.
+        replicating the scalar draw order bit-for-bit; the streams are
+        seeded in one batch) and the result dataclasses, built from
+        ``tolist()`` rows.
         """
         if run_idx is None:
             run_idx = np.arange(self.n_runs)
@@ -632,12 +633,17 @@ class ScenarioTable:
         noisy = noise > 0
         z_head = np.zeros((m, 2))
         z_blocks: List[np.ndarray] = []
-        for pos in np.flatnonzero(noisy).tolist():
-            spec = specs[pos]
-            rng = RngStream(spec.seed, ("run", arch.name, spec.smt_level, ns[pos]))
+        noisy_pos = np.flatnonzero(noisy).tolist()
+        streams = [
+            RngStream(specs[pos].seed, ("run", arch.name, specs[pos].smt_level, ns[pos]))
+            for pos in noisy_pos
+        ]
+        seed_streams(streams)
+        for pos, rng in zip(noisy_pos, streams):
             z = rng.gen.standard_normal(2 + ns[pos] * E)
             z_head[pos] = z[:2]
             z_blocks.append(z[2:])
+        del streams  # their generators would otherwise live through the peak below
         wall_factor = np.maximum(0.5, 1.0 + noise * z_head[:, 0])
         cpu_factor = np.maximum(0.5, 1.0 + (noise * 0.5) * z_head[:, 1])
         total_cpu = np.where(noisy, np.minimum(

@@ -14,11 +14,13 @@ threading a generator object through every call site.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 Key = Union[str, int]
+
+_U32 = 0xFFFFFFFF
 
 
 class RngStream:
@@ -48,11 +50,14 @@ class RngStream:
         form coerces to, without the per-int conversion.
         """
         if self._gen is None:
-            material = [self.seed] + [_key_to_int(k) for k in self.keys]
-            if self.seed <= 0xFFFFFFFF:
+            material = self._entropy()
+            if self.seed <= _U32:
                 material = np.array(material, dtype=np.uint32)
             self._gen = np.random.default_rng(np.random.SeedSequence(material))
         return self._gen
+
+    def _entropy(self) -> List[int]:
+        return [self.seed] + [_key_to_int(k) for k in self.keys]
 
     def child(self, *keys: Key) -> "RngStream":
         """Derive an independent stream for a named sub-component."""
@@ -116,3 +121,143 @@ def _fnv1a(text: str) -> int:
 def spawn_rng(seed: int, *keys: Key) -> RngStream:
     """Create the root stream for an experiment component."""
     return RngStream(seed, tuple(keys))
+
+
+# -- batch seeding -------------------------------------------------------
+#
+# ``SeedSequence`` mixes its entropy with a fixed chain of 32-bit hash
+# constants that does not depend on the data, so the state words of
+# many entropy vectors of one length can be computed as uint32 column
+# operations.  The constants and the mixing order are numpy's
+# (``numpy/random/bit_generator.pyx``); a self-check against
+# ``SeedSequence`` guards them.
+
+_POOL_SIZE = 4
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row
+    of a ``(n, length)`` uint32 entropy matrix (uint32 products wrap,
+    as the reference's do)."""
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    n, length = entropy.shape
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A
+        value = value * hash_a
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    with np.errstate(over="ignore"):
+        zeros = np.zeros(n, dtype=np.uint32)
+        pool = [hashmix(entropy[:, i] if i < length else zeros)
+                for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(_POOL_SIZE, length):
+            for dst in range(_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+        hash_b = _INIT_B
+        words = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+        for i in range(2 * _POOL_SIZE):
+            value = pool[i % _POOL_SIZE] ^ hash_b
+            hash_b = hash_b * _MULT_B
+            value = value * hash_b
+            words[:, i] = value ^ (value >> _XSHIFT)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords:
+    """A seed sequence that hands ``PCG64`` precomputed state words, so
+    numpy's own C code seeds the generator.  Registered as an
+    ``ISeedSequence`` by the self-check, so that importing this module
+    does not load ``numpy.random``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed state words are 4 x uint64")
+        return self.words
+
+
+def _seeded(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+#: Entropy vectors the fast path must reproduce before it is trusted:
+#: the edges of the uint32 range, and lengths on both sides of the pool.
+_CHECK_ENTROPY = (
+    (0,), (_U32,), (11, 0x2ACD4ECA), (0, 0, 0, 0),
+    (_U32, _U32, _U32, _U32, _U32), (7, 1, 2, 3, 4, 5, 6, 8),
+)
+_fast_seeding: Optional[bool] = None
+
+
+def _matches_seed_sequence(entropy) -> bool:
+    row = np.array(entropy, dtype=np.uint32)
+    words = _state_words(row[None, :])[0]
+    reference = np.random.SeedSequence(row)
+    return (
+        np.array_equal(words, reference.generate_state(4, np.uint64))
+        and _seeded(words).bit_generator.state
+        == np.random.default_rng(reference).bit_generator.state
+    )
+
+
+def _fast_seeding_ok() -> bool:
+    """Whether batch seeding matches ``SeedSequence`` on this numpy
+    (checked once per process; on a mismatch every stream keeps
+    ``SeedSequence`` for good)."""
+    global _fast_seeding
+    if _fast_seeding is None:
+        from numpy.random.bit_generator import ISeedSequence
+
+        ISeedSequence.register(_StateWords)
+        try:
+            _fast_seeding = all(map(_matches_seed_sequence, _CHECK_ENTROPY))
+        except (TypeError, ValueError):
+            _fast_seeding = False
+    return _fast_seeding
+
+
+def seed_streams(streams: Iterable[RngStream]) -> None:
+    """Seed many streams at once, each exactly as its first use would.
+
+    Unseeded streams whose seed fits 32 bits (the ``uint32`` entropy of
+    :attr:`RngStream.gen`) get their ``SeedSequence`` state words from
+    one vectorised pass per entropy length, then a ``PCG64`` seeded by
+    numpy from those words.  Streams that are already seeded, and wider
+    seeds, are left to :attr:`RngStream.gen`.
+    """
+    by_length: Dict[int, List[RngStream]] = {}
+    for stream in streams:
+        if stream._gen is None and stream.seed <= _U32:
+            by_length.setdefault(len(stream.keys), []).append(stream)
+    if not by_length:
+        return
+    if not _fast_seeding_ok():
+        for group in by_length.values():
+            for stream in group:
+                stream.gen
+        return
+    for group in by_length.values():
+        entropy = np.array([stream._entropy() for stream in group], dtype=np.uint32)
+        for stream, words in zip(group, _state_words(entropy)):
+            stream._gen = _seeded(words)

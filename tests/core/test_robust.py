@@ -1,5 +1,9 @@
 """Tests for noise-hardened SMTsm estimation and online control."""
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from repro.arch import power7
@@ -14,6 +18,8 @@ from repro.core.robust import (
 )
 from repro.counters.perfstat import PerfStat, PerfStatConfig
 from repro.counters.pmu import CounterSample
+from repro.faults import FaultyApp, noise_profile
+from repro.fleet.scheduler import ControllerBank
 
 pytestmark = pytest.mark.faults
 
@@ -252,3 +258,109 @@ class TestDriveOnline:
         perf = PerfStat(PerfStatConfig(interval_s=0.05))
         with pytest.raises(ValueError):
             drive_online(app, perf, controller(), 0)
+
+
+def hexed(x):
+    return None if x is None else float.hex(x)
+
+
+def noisy_run(disp_frac, severity, seed, n=60):
+    """Samples of a fault-injected stationary app, with the controller's
+    switches applied to the app as the online loop does."""
+    faulty = FaultyApp(SwitchableApp(disp_frac), noise_profile(severity), seed=seed)
+    ctrl = controller()
+    samples, decisions = [], []
+    for _ in range(n):
+        sample = faulty.advance(0.05)
+        decision = ctrl.observe(sample)
+        if decision.switched_to is not None:
+            faulty.switch_level(decision.switched_to)
+        samples.append(sample)
+        decisions.append(decision)
+    return samples, decisions, ctrl
+
+
+def state(ctrl):
+    return (ctrl.level, hexed(ctrl.smoothed), ctrl.n_switches, ctrl._n,
+            ctrl._cooldown, ctrl._blind)
+
+
+class TestFold:
+    # sha256 of the decision records (floats as float.hex) recorded
+    # before the controller gained its object-free fold.  Each run goes
+    # through blind intervals, probes, dropout-degraded and outlier
+    # readings and about 15 switches.
+    @pytest.mark.parametrize("disp_frac, severity, seed, digest", [
+        (0.21, 0.6, 3,
+         "6d9fdaf4a8badb96cc38dafe78cfbb28bb7f65aeb459f6e54a5e56830ff593ce"),
+        (0.21, 0.8, 5,
+         "0d97e3075dd4880816b23e283256f90020f14df3cfbe50869fecdb28070586be"),
+        (0.25, 1.0, 7,
+         "c79377ab86bbb409c35b7a3a91d3cdc98c7b440a6488200681576f67da46afef"),
+    ])
+    def test_pinned_decisions(self, disp_frac, severity, seed, digest):
+        _, decisions, ctrl = noisy_run(disp_frac, severity, seed)
+        records = [
+            [d.index, d.level, hexed(d.raw), hexed(d.smoothed),
+             hexed(d.confidence), d.degraded, d.switched_to]
+            for d in decisions
+        ]
+        assert ctrl.n_switches > 10
+        assert any(d.degraded for d in decisions)
+        text = json.dumps(records)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("severity, seed", [(0.6, 3), (1.0, 7)])
+    def test_bank_and_observe_leave_the_same_state(self, severity, seed):
+        samples, _, observed = noisy_run(0.21, severity, seed)
+        model = SimpleNamespace(predictors={"power7": {1: PREDICTOR}})
+        bank = ControllerBank(model, observed.config)
+        for sample in samples:
+            assert bank.observe("power7", "w", sample) is None
+        assert state(bank.controller("power7", "w")) == state(observed)
+
+    def test_unmeasurable_sample_same_on_both_paths(self):
+        blank = make_sample(drop=("LD_CMPL", "ST_CMPL", "BR_CMPL",
+                                  "FX_CMPL", "VS_CMPL"))
+        folded, observed = controller(), controller()
+        for ctrl in (folded, observed):
+            ctrl.observe(make_sample(disp_frac=0.40))
+        assert folded.fold(blank) == (None, 0.0, True, None)
+        decision = observed.observe(blank)
+        assert (decision.raw, decision.degraded) == (None, True)
+        assert state(folded) == state(observed)
+
+
+class TestPinnedMetric:
+    # float.hex of smtsm()/robust_smtsm() outputs recorded before both
+    # read one shared factor helper.
+    @pytest.mark.parametrize("disp_frac, expected", [
+        (0.02, ["0x1.c1757850d9091p-10", "0x1.4d952f4c0114cp-4",
+                "0x1.47ae147ae147bp-6", "0x1.0d79435e50d79p+0"]),
+        (0.40, ["0x1.18e96b3287a5bp-5", "0x1.4d952f4c0114cp-4",
+                "0x1.999999999999ap-2", "0x1.0d79435e50d79p+0"]),
+        (0.13, ["0x1.6d2f71c1b0576p-7", "0x1.4d952f4c0114cp-4",
+                "0x1.0a3d70a3d70a4p-3", "0x1.0d79435e50d79p+0"]),
+    ])
+    def test_smtsm_floats(self, disp_frac, expected):
+        result = smtsm(make_sample(disp_frac=disp_frac))
+        got = (result.value,) + result.factors()
+        assert [float.hex(x) for x in got] == expected
+        full = robust_smtsm(make_sample(disp_frac=disp_frac))
+        assert float.hex(full.value) == expected[0]
+
+    @pytest.mark.parametrize("disp_frac, drop, value, confidence", [
+        (0.40, ("VS_CMPL",), "0x1.d092284cee56dp-6", "0x1.6db6db6db6db6p-1"),
+        (0.13, ("LD_CMPL", "FX_CMPL"), "0x1.6a5d85d59b2f6p-8",
+         "0x1.2492492492492p-1"),
+    ])
+    def test_degraded_floats(self, disp_frac, drop, value, confidence):
+        est = robust_smtsm(make_sample(disp_frac=disp_frac, drop=drop))
+        assert (float.hex(est.value), float.hex(est.confidence)) == (value, confidence)
+
+    def test_negative_dispatch_held_still_rejected(self):
+        sample = make_sample(disp_frac=-0.1)
+        with pytest.raises(ValueError):
+            smtsm(sample)
+        with pytest.raises(ValueError, match="dispatch_held"):
+            controller().fold(sample)

@@ -280,3 +280,31 @@ class TestVectorNoiseOracle:
             assert [s is got for s in fast_seen] == [s is want for s in ref_seen]
         assert fast.injections == ref.injections
         assert fast.injections.get("noise") == 20
+
+
+class TestScheduleCache:
+    def test_one_schedule_per_architecture(self, monkeypatch):
+        from repro.counters import arch_groups
+        from repro.faults import app as app_module
+
+        calls = []
+        real = arch_groups.groups_for
+
+        def counting(arch):
+            calls.append(arch.name)
+            return real(arch)
+
+        monkeypatch.setattr(arch_groups, "groups_for", counting)
+        monkeypatch.setattr(app_module, "_SCHEDULES", {})
+        shared, other = power7(), power7()
+        apps = []
+        for seed, arch in enumerate((shared, shared, shared, other)):
+            inner = StationaryApp()
+            inner.arch = arch
+            apps.append(FaultyApp(inner, FaultConfig(dropout_prob=1.0), seed=seed))
+        for app in apps:
+            app.advance(0.1)
+            assert app.injections["dropout"] == 1
+        assert calls == ["POWER7", "POWER7"]      # once per arch object
+        assert apps[0]._schedule is apps[1]._schedule is apps[2]._schedule
+        assert apps[3]._schedule is not apps[0]._schedule

@@ -6,11 +6,14 @@ policy comparison lives in ``scripts/bench_fleet.py``.
 """
 
 import hashlib
+import heapq
 import json
 
 import pytest
 
 from repro.fleet import FleetConfig, FleetScheduler, simulate_fleet
+from repro.fleet import scheduler as scheduler_module
+from repro.fleet.trace import Job
 
 
 def run(**overrides):
@@ -157,3 +160,108 @@ class TestPinnedPayloads:
         payload = simulate_fleet(chips=8, jobs=400, **overrides).payload()
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class HeapOrderScheduler(FleetScheduler):
+    """The event loop before arrivals left the heap: every arrival is
+    pushed up front, so a tie goes to the lower sequence number."""
+
+    ARRIVE = -1
+
+    def _run_events(self, trace):
+        for job in trace:
+            self._push(job.t_arrival, self.ARRIVE, -1, job)
+        while self._heap:
+            now, _, kind, node_id, job = heapq.heappop(self._heap)
+            self._last_t = now
+            if kind == self.ARRIVE:
+                self._arrive(job, now)
+            elif kind == scheduler_module._COMPLETE:
+                self._complete(self.nodes[node_id], job, now)
+            else:
+                self._refresh_est(self.nodes[node_id], now)
+
+
+def logging_scheduler(base):
+    class Logged(base):
+        def __init__(self, config):
+            super().__init__(config)
+            self.log = []
+
+        def _arrive(self, job, now):
+            self.log.append(("arrive", job.job_id, now))
+            super()._arrive(job, now)
+
+        def _complete(self, node, job, now):
+            self.log.append(("complete", job.job_id, now))
+            super()._complete(node, job, now)
+
+    return Logged
+
+
+class TestEventOrder:
+    CONFIG = FleetConfig(chips=1, jobs=4, policy="least_loaded",
+                         queue_depth=1, severity=0.0)
+
+    def tie_trace(self):
+        """Job 0 runs, job 1 fills the one-slot queue, and job 2 arrives
+        at the very instant job 0 completes."""
+        probe = FleetScheduler(self.CONFIG)
+        workload = probe.workload_names[0]
+        service = probe.model.wall_s("power7", workload, probe.nodes[0].max_level)
+        done = 1.0 + service
+        return done, [
+            Job(0, 1.0, workload, 1.0),
+            Job(1, 1.0 + 0.5 * service, workload, 1.0),
+            Job(2, done, workload, 1.0),
+            Job(3, done + 3.0 * service, workload, 1.0),
+        ]
+
+    def run(self, monkeypatch, cls, trace):
+        monkeypatch.setattr(
+            scheduler_module, "generate_trace", lambda *args: list(trace))
+        sched = cls(self.CONFIG)
+        return sched, sched.run().payload()
+
+    def test_arrival_goes_first_on_a_tie(self, monkeypatch):
+        done, trace = self.tie_trace()
+        sched, payload = self.run(
+            monkeypatch, logging_scheduler(FleetScheduler), trace)
+        at_tie = [(kind, job) for kind, job, t in sched.log if t == done]
+        assert at_tie == [("arrive", 2), ("complete", 0)]
+        # Job 2 found the queue still full, so it was shed.
+        assert payload["rejected_admission"] == 1
+        assert payload["settled"]
+
+    def test_tie_payload_matches_single_heap_order(self, monkeypatch):
+        _, trace = self.tie_trace()
+        merged = self.run(monkeypatch, logging_scheduler(FleetScheduler), trace)
+        oracle = self.run(monkeypatch, logging_scheduler(HeapOrderScheduler), trace)
+        assert merged[0].log == oracle[0].log
+        assert merged[1] == oracle[1]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(policy="smtsm", severity=0.4, crash_prob=0.02, seed=5),
+        dict(policy="round_robin", severity=0.2, arch_mix="power7,armsmt"),
+    ])
+    def test_random_fleets_match_single_heap_order(self, overrides):
+        config = FleetConfig(chips=6, jobs=400, **overrides)
+        assert (FleetScheduler(config).run().payload()
+                == HeapOrderScheduler(config).run().payload())
+
+
+class TestBatchSeeding:
+    def test_run_streams_seeded_up_front(self):
+        scheduler = FleetScheduler(FleetConfig(chips=3, jobs=10, severity=0.2))
+        for node in scheduler.nodes:
+            streams = node.rng_streams(lifecycle=True, telemetry=True)
+            assert len(streams) == 5
+            assert all(s._gen is not None for s in streams)
+
+    def test_unused_streams_stay_unseeded(self):
+        scheduler = FleetScheduler(FleetConfig(
+            chips=3, jobs=10, severity=0.0, policy="least_loaded"))
+        for node in scheduler.nodes:
+            assert node.rng_streams(lifecycle=True, telemetry=True) == (
+                node.fault_rng,)
+            assert node.fault_rng._gen is None

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import _FNV_CACHE_MAX, RngStream, _fnv1a, _key_to_int, spawn_rng
+from repro.util import rng as rng_module
+from repro.util.rng import (
+    _FNV_CACHE_MAX,
+    RngStream,
+    _fnv1a,
+    _key_to_int,
+    _state_words,
+    seed_streams,
+    spawn_rng,
+)
 
 
 class TestDeterminism:
@@ -150,3 +159,75 @@ class TestLazySeeding:
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ValueError, match="non-negative"):
             RngStream(-1, ("x",))
+
+
+def fresh_streams(seed=11):
+    """Unseeded streams over several entropy lengths and key kinds."""
+    keys = [(), ("run",), ("fleet", "node", 3), ("run", "power7", 4, 32),
+            ("fleet", "node", 999, "counters", "noise"), (2**40, "x", -1)]
+    return [RngStream(seed + i, k) for i, k in enumerate(keys)]
+
+
+def draws(stream):
+    return (stream.random(5), stream.normal(0.0, 2.0, 5),
+            stream.integers(0, 1000, 5))
+
+
+def assert_same_draws(a, b):
+    for x, y in zip(draws(a), draws(b)):
+        assert np.array_equal(x, y)
+
+
+class TestBatchSeeding:
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_state_words_match_seed_sequence(self, length):
+        gen = np.random.default_rng(length)
+        entropy = gen.integers(0, 2**32, size=(202, length), dtype=np.uint64)
+        entropy = entropy.astype(np.uint32)
+        entropy[0] = 0
+        entropy[1] = 0xFFFFFFFF
+        words = _state_words(entropy)
+        assert words.shape == (202, 4) and words.dtype == np.uint64
+        for row, got in zip(entropy, words):
+            expected = np.random.SeedSequence(row).generate_state(4, np.uint64)
+            assert np.array_equal(got, expected), row
+
+    def test_fast_path_is_trusted_on_this_numpy(self):
+        assert rng_module._fast_seeding_ok()
+
+    def test_batch_seeded_draws_match_lazy_streams(self):
+        batch = fresh_streams()
+        seed_streams(batch)
+        assert all(s._gen is not None for s in batch)
+        for a, b in zip(batch, fresh_streams()):
+            assert_same_draws(a, b)
+
+    def test_seeded_streams_are_left_alone(self):
+        stream = RngStream(5, ("busy",))
+        stream.random(3)
+        gen = stream.gen
+        seed_streams([stream])
+        assert stream.gen is gen
+        reference = RngStream(5, ("busy",))
+        reference.random(3)
+        assert_same_draws(stream, reference)
+
+    @pytest.mark.parametrize("seed", [2**32, 2**40 + 3])
+    def test_wide_seeds_keep_seed_sequence(self, seed):
+        stream = RngStream(seed, ("pin",))
+        seed_streams([stream])
+        assert stream._gen is None
+        assert np.array_equal(stream.random(3), list_seeded(seed, ("pin",)).random(3))
+
+    def test_self_check_mismatch_falls_back(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_fast_seeding", None)
+        monkeypatch.setattr(
+            rng_module, "_state_words",
+            lambda entropy: _state_words(entropy) ^ np.uint64(1),
+        )
+        batch = fresh_streams()
+        seed_streams(batch)
+        assert rng_module._fast_seeding is False
+        assert all(s._gen is not None for s in batch)
+        for a, b in zip(batch, fresh_streams()):
+            assert_same_draws(a, b)
