@@ -4,7 +4,10 @@ Every public symbol re-exported in ``repro/__init__.py`` (and, since
 the observability and robustness PRs, in ``repro/obs/__init__.py`` and
 ``repro/faults/__init__.py``) must be mentioned in ``docs/api.md`` — otherwise the API page silently drifts from the
 code, which is exactly how the batched-engine symbols went
-undocumented for a whole PR.
+undocumented for a whole PR.  The knob tables of ``docs/scaling.md``
+and ``docs/fleet.md`` are checked both ways against ``ServeConfig`` and
+``FleetConfig``: every field must have a row, and every row must name a
+field.
 
 Run standalone (exit code 1 lists the missing symbols)::
 
@@ -16,7 +19,9 @@ module and asserts the same thing).
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -74,8 +79,6 @@ def missing_scaling_knobs(doc_text: str = None) -> List[str]:
     against the dataclass fields keeps a new serving knob from shipping
     undocumented.
     """
-    import dataclasses
-
     from repro.serve import ServeConfig
 
     if doc_text is None:
@@ -92,8 +95,6 @@ def missing_fleet_knobs(doc_text: str = None) -> List[str]:
     Same contract as the scaling-knob check: every fleet tuning knob
     must be named in its doc page before it ships.
     """
-    import dataclasses
-
     from repro.fleet import FleetConfig
 
     if doc_text is None:
@@ -102,6 +103,54 @@ def missing_fleet_knobs(doc_text: str = None) -> List[str]:
         field.name for field in dataclasses.fields(FleetConfig)
         if field.name not in doc_text
     ]
+
+
+def _knob_rows(doc_text: str) -> List[tuple]:
+    """``(first cell, backticked names)`` for every row of the page's
+    knob tables (tables whose first header cell reads "Knob")."""
+    rows: List[tuple] = []
+    in_table = False
+    for line in doc_text.splitlines():
+        cells = line.strip().split("|")
+        if len(cells) < 3:
+            in_table = False
+            continue
+        first = cells[1].strip()
+        if first.lower() == "knob":
+            in_table = True
+        elif in_table and not set(first) <= set("-: "):
+            rows.append((first, re.findall(r"`([^`]+)`", first)))
+    return rows
+
+
+def _stale_knobs(doc_text: str, config_cls) -> List[str]:
+    fields = {field.name for field in dataclasses.fields(config_cls)}
+    return [
+        cell for cell, names in _knob_rows(doc_text)
+        if not fields.intersection(names)
+    ]
+
+
+def stale_scaling_knobs(doc_text: str = None) -> List[str]:
+    """Knob-table rows of docs/scaling.md that name no ServeConfig field.
+
+    The reverse of :func:`missing_scaling_knobs`: a field deleted from
+    the dataclass must take its documentation row with it.
+    """
+    from repro.serve import ServeConfig
+
+    if doc_text is None:
+        doc_text = (REPO_ROOT / "docs" / "scaling.md").read_text()
+    return _stale_knobs(doc_text, ServeConfig)
+
+
+def stale_fleet_knobs(doc_text: str = None) -> List[str]:
+    """Knob-table rows of docs/fleet.md that name no FleetConfig field."""
+    from repro.fleet import FleetConfig
+
+    if doc_text is None:
+        doc_text = (REPO_ROOT / "docs" / "fleet.md").read_text()
+    return _stale_knobs(doc_text, FleetConfig)
 
 
 def missing_symbols(doc_text: str = None) -> Dict[str, List[str]]:
@@ -126,14 +175,16 @@ def main() -> int:
     absent_docs = missing_docs()
     absent_knobs = [] if absent_docs else missing_scaling_knobs()
     absent_fleet_knobs = [] if absent_docs else missing_fleet_knobs()
+    stale_knobs = [] if absent_docs else stale_scaling_knobs()
+    stale_fleet = [] if absent_docs else stale_fleet_knobs()
     if (not problems and not absent_docs and not absent_knobs
-            and not absent_fleet_knobs):
+            and not absent_fleet_knobs and not stale_knobs
+            and not stale_fleet):
         total = sum(len(public_symbols(m)) for m in PUBLIC_MODULES)
         print(f"docs/api.md covers all {total} public symbols "
               f"of {', '.join(PUBLIC_MODULES)}; all {len(REQUIRED_DOCS)} "
-              f"doc pages present; docs/scaling.md covers every "
-              f"ServeConfig knob; docs/fleet.md covers every "
-              f"FleetConfig knob")
+              f"doc pages present; the knob tables of docs/scaling.md "
+              f"and docs/fleet.md match ServeConfig and FleetConfig")
         return 0
     for module_name, symbols in problems.items():
         print(f"docs/api.md is missing {len(symbols)} symbol(s) "
@@ -147,6 +198,12 @@ def main() -> int:
     for knob in absent_fleet_knobs:
         print(f"docs/fleet.md is missing FleetConfig knob {knob!r}",
               file=sys.stderr)
+    for row in stale_knobs:
+        print(f"docs/scaling.md documents {row}, which names no "
+              f"ServeConfig field", file=sys.stderr)
+    for row in stale_fleet:
+        print(f"docs/fleet.md documents {row}, which names no "
+              f"FleetConfig field", file=sys.stderr)
     return 1
 
 

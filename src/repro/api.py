@@ -346,7 +346,6 @@ class Session:
         levels: Optional[Sequence[int]] = None,
         *,
         strategy: str = DEFAULT_STRATEGY,
-        jobs: Optional[int] = None,
     ) -> CatalogRuns:
         """Run a catalog slice (all workloads by default) on this system.
 
@@ -360,7 +359,7 @@ class Session:
             catalog = {name: specs[name] for name in names}
         return run_catalog(
             self.system, catalog, levels,
-            strategy=strategy, jobs=jobs, seed=self.seed, work=self.work,
+            strategy=strategy, seed=self.seed, work=self.work,
             cache=self._cache, use_cache=self.use_cache,
         )
 
@@ -476,12 +475,11 @@ def sweep(
     levels: Optional[Sequence[int]] = None,
     *,
     strategy: str = DEFAULT_STRATEGY,
-    jobs: Optional[int] = None,
     **session_kwargs,
 ) -> CatalogRuns:
     """Module-level :meth:`Session.sweep` on a shared session."""
     return get_session(arch, **session_kwargs).sweep(
-        names, levels, strategy=strategy, jobs=jobs
+        names, levels, strategy=strategy
     )
 
 
@@ -531,9 +529,8 @@ def simulate_fleet(
         result.throughput_jobs_s, result.latency_p95_s
 
     ``policy`` takes a :class:`Policy` member or any registered policy
-    name (:func:`list_policies`); ``strategy`` must be a batch-capable
-    :class:`Strategy` (``columnar`` or ``surrogate``) — the fleet's
-    per-(arch, workload, level) reference space is solved as one
-    mega-batch before the event loop starts.
+    name (:func:`list_policies`).  The fleet's per-(arch, workload,
+    level) reference space is solved as one columnar mega-batch before
+    the event loop starts.
     """
     return _simulate_fleet(config, **overrides)

@@ -1,11 +1,11 @@
 """Differential testing: every fast path must match the reference path.
 
 The repository keeps several ways to execute a sweep
-(``run_catalog(strategy="columnar"|"surrogate"|"batched"|"serial"|
-"parallel")``), a persistent run cache, and a batched prediction
-facade — the exact paths are documented as "semantically equivalent to
-floating-point round-off" and the surrogate as "within its calibrated
-error bound or not at all".  This pillar *executes* those claims
+(``run_catalog(strategy="columnar"|"surrogate"|"batched"|"serial")``),
+a persistent run cache, and a batched prediction facade — the exact
+paths are documented as "semantically equivalent to floating-point
+round-off" and the surrogate as "within its calibrated error bound or
+not at all".  This pillar *executes* those claims
 McKeeman-style: run identical scenario sets down every path, compare
 field by field at :data:`REL_TOL` (exact paths) or
 :data:`SURROGATE_REL_TOL` (surrogate-accepted rows), and when a
@@ -153,7 +153,6 @@ def run_differential_checks(
     seed: int = 11,
     work: float = DEFAULT_WORK,
     rel_tol: float = REL_TOL,
-    include_parallel: bool = True,
     simulate_batch: Optional[Callable[[Sequence[RunSpec]], List[RunResult]]] = None,
 ) -> PillarReport:
     """Run the scenario set down every path and compare to the reference.
@@ -170,9 +169,6 @@ def run_differential_checks(
       :data:`SURROGATE_REL_TOL`, fallback rows to ``rel_tol``, and the
       surrogate must accept at least one scenario of the set (a model
       that always falls back silently loses the fast path);
-    * the multiprocessing parallel runner (skipped when the platform
-      cannot fork a pool; its in-process fallback is then already the
-      reference path);
     * a cold-vs-warm run-cache round trip (persisted payloads must
       reconstruct the result exactly);
     * ``Session.predict`` vs ``Session.predict_many`` over the same
@@ -274,26 +270,6 @@ def run_differential_checks(
                              "minimized_scenarios": [labels[i]]},
                 ))
 
-        # -- parallel vs serial -----------------------------------------
-        if include_parallel:
-            from repro.experiments.runner import _simulate_parallel
-
-            parallel = _simulate_parallel(specs, jobs=2)
-            for i, (ref, got) in enumerate(zip(reference, parallel)):
-                checks_run += 1
-                diffs = compare_runs(ref, got, rel_tol)
-                if diffs:
-                    field, err = max(diffs, key=lambda d: d[1])
-                    violations.append(Violation(
-                        pillar="differential", check="parallel_vs_serial",
-                        subject=labels[i],
-                        message=(f"parallel strategy diverges from the serial "
-                                 f"reference on {field} (rel {err:.3e})"),
-                        details={"field": field, "rel_error": err,
-                                 "rel_tol": rel_tol,
-                                 "minimized_scenarios": [labels[i]]},
-                    ))
-
         # -- cold vs warm run cache -------------------------------------
         with tempfile.TemporaryDirectory(prefix="repro-check-cache-") as tmp:
             cache = RunCache(tmp)
@@ -355,8 +331,7 @@ def run_differential_checks(
         violations=tuple(violations),
         stats={"scenarios": list(labels), "rel_tol": rel_tol,
                "surrogate_rel_tol": SURROGATE_REL_TOL,
-               "surrogate_accepted": int(sum(accepted)),
-               "parallel_included": include_parallel},
+               "surrogate_accepted": int(sum(accepted))},
     )
 
 

@@ -35,7 +35,6 @@ class CheckOptions:
     noise_rel: float = 0.01             # invariants: counter jitter level
     chip_samples: int = 4               # invariants: re-solved scenarios
     diff_rel_tol: float = differential.REL_TOL
-    include_parallel: bool = True       # differential: fork-pool path
     figures: Optional[Sequence[str]] = None   # goldens: subset (None = all)
     goldens_directory: Optional[Path] = None
     fuzz_cases: int = 500
@@ -76,7 +75,6 @@ def _run_differential(options: CheckOptions) -> PillarReport:
     main = differential.run_differential_checks(
         arch=options.arch, seed=options.seed,
         rel_tol=options.diff_rel_tol,
-        include_parallel=options.include_parallel,
     )
     cross = differential.run_cross_arch_differential(
         seed=options.seed, rel_tol=options.diff_rel_tol,

@@ -113,15 +113,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         span.set(cache_hits=len(run_specs) - len(missing),
                  cache_misses=len(missing))
         if missing:
-            todo = [run_specs[i] for i in missing]
-            if args.jobs and args.jobs > 1:
-                from repro.experiments.runner import _simulate_parallel
+            from repro.sim.table import simulate_many_columnar
 
-                fresh = _simulate_parallel(todo, args.jobs)
-            else:
-                from repro.sim.table import simulate_many_columnar
-
-                fresh = simulate_many_columnar(todo)
+            fresh = simulate_many_columnar([run_specs[i] for i in missing])
             for i, result in zip(missing, fresh):
                 results[i] = result
                 if cache is not None:
@@ -179,7 +173,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             ("chips", args.chips), ("jobs", args.jobs),
             ("policy", args.policy), ("severity", args.severity),
             ("seed", args.seed), ("arch_mix", arch_mix),
-            ("strategy", args.strategy), ("load", args.load),
+            ("load", args.load),
             ("arrival", args.arrival), ("mix", args.mix),
             ("workloads", args.workloads),
             ("queue_depth", args.queue_depth),
@@ -200,8 +194,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         )
         print(
             f"fleet: {result.n_nodes} chips ({counts}), "
-            f"policy={config.policy}, severity={config.severity}, "
-            f"strategy={config.strategy}"
+            f"policy={config.policy}, severity={config.severity}"
         )
         print(
             f"jobs: submitted={result.jobs_submitted} "
@@ -293,7 +286,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         hot_cache_size=args.hot_cache_size,
         hang_timeout_s=args.hang_timeout_s,
         chaos=chaos,
-        brownout=not args.no_brownout,
         session=session,
     )
     # In-process telemetry so the settlement line below is always
@@ -370,7 +362,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         arch=args.arch,
         seed=args.seed,
         figures=args.figures,
-        include_parallel=not args.no_parallel,
         fuzz_cases=args.fuzz_cases,
         fuzz_seed=args.fuzz_seed,
     )
@@ -463,11 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: on unless REPRO_RUNCACHE=0)",
     )
     p.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="simulate cache misses across N worker processes instead of "
-        "the vectorized batch path",
-    )
-    p.add_argument(
         "--telemetry", nargs="?", const=True, default=None, metavar="PATH",
         help="record telemetry for this invocation to a JSONL file "
         "(default: a fresh file under results/.telemetry/)",
@@ -496,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "to their clusters")
     p.add_argument("--nodes", default=None, metavar="MIX",
                    help="alias for --arch-mix, e.g. 'power7:2,armsmt:2'")
-    p.add_argument("--strategy", default=None,
-                   help="mega-batch engine: columnar or surrogate")
     p.add_argument("--load", type=float, default=None,
                    help="offered load vs max-level capacity (default 1.05)")
     p.add_argument("--arrival", default=None,
@@ -556,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject worker faults (pool mode): a preset "
                         "('worker_hang'), 'severity=0.4', or "
                         "'hang=0.02,crash=0.04,slow=0.2,corrupt=0.1,seed=7'")
-    p.add_argument("--no-brownout", action="store_true",
-                   help="shed with hard overloaded errors instead of "
-                        "degraded (surrogate) answers under sustained "
-                        "overload")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -593,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invariants", action="store_true",
                    help="simulator physics invariants over a catalog sweep")
     p.add_argument("--differential", action="store_true",
-                   help="serial vs batched/parallel/cache/predict_many")
+                   help="serial vs batched/cache/predict_many")
     p.add_argument("--goldens", action="store_true",
                    help="compare figure summaries to tests/goldens/")
     p.add_argument("--fuzz", action="store_true",
@@ -602,8 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--figures", nargs="+", default=None, metavar="FIG",
                    help="golden subset, e.g. fig06 fig16 (default: all)")
-    p.add_argument("--no-parallel", action="store_true",
-                   help="skip the fork-pool path in the differential pillar")
     p.add_argument("--fuzz-cases", type=int, default=500, metavar="N",
                    help="malformed/valid frames to fire at the server")
     p.add_argument("--fuzz-seed", type=int, default=1207)

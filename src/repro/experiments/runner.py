@@ -10,24 +10,20 @@ caches the runs; every scatter figure (6, 8-15) is then a cheap
 projection: pick the measurement level for the metric and a level pair
 for the speedup.  One entry point covers every execution strategy:
 ``run_catalog(arch_or_system, ..., strategy="columnar"|"surrogate"|
-"batched"|"serial"|"parallel")`` — the columnar scenario-table engine
-(default), the calibrated surrogate fast path, the legacy vectorized
-batch engine, the scalar reference loop, or the resilient
-multiprocessing fan-out.  :data:`DEFAULT_STRATEGY` is the one default
-every public sweep entry point shares (``run_catalog``, the
+"batched"|"serial")`` — the columnar scenario-table engine (default),
+the calibrated surrogate fast path, the legacy vectorized batch engine,
+or the scalar reference loop.  :data:`DEFAULT_STRATEGY` is the one
+default every public sweep entry point shares (``run_catalog``, the
 :mod:`repro.api` sweeps, the serve ``sweep`` op and its client).
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.success import SuccessSummary, success_summary
 from repro.core.metric import SmtsmResult, smtsm_from_run
-from repro.faults.retry import RetryPolicy
 from repro.obs import get_tracer
 from repro.core.predictor import Observation, SmtPredictor
 from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_many, simulate_run
@@ -42,7 +38,6 @@ __all__ = [
     "DEFAULT_WORK",  # re-exported; the engine owns the single definition
     "CatalogRuns",
     "DEFAULT_STRATEGY",
-    "RetryPolicy",  # re-exported; now lives in repro.faults.retry
     "STRATEGIES",
     "Strategy",
     "resolve_system",
@@ -66,7 +61,6 @@ class Strategy(ValidatedStrEnum):
     SURROGATE = "surrogate"
     BATCHED = "batched"
     SERIAL = "serial"
-    PARALLEL = "parallel"
 
 
 #: The strategies as plain literals (kept for existing callers).
@@ -196,101 +190,6 @@ def _catalog_specs(
     ]
 
 
-def _simulate_worker(spec: RunSpec) -> RunResult:
-    return simulate_run(spec)
-
-
-def _resilient_worker(index: int, spec: RunSpec, attempt: int, fault_hook) -> RunResult:
-    """Worker entry point; ``fault_hook(index, spec, attempt)`` (when
-    given) runs first so tests can crash or stall chosen tasks."""
-    if fault_hook is not None:
-        fault_hook(index, spec, attempt)
-    return simulate_run(spec)
-
-
-def _simulate_parallel(
-    specs: List[RunSpec],
-    jobs: int,
-    *,
-    policy: Optional[RetryPolicy] = None,
-    fault_hook: Optional[Callable[[int, RunSpec, int], None]] = None,
-) -> List[RunResult]:
-    """Multiprocessing fallback for engines that cannot batch — resilient.
-
-    The vectorized batch path only exists for the fast analytic engine;
-    detailed per-run simulation (e.g. the cycle engine) parallelizes
-    across processes instead.  Worker failures never lose a run:
-
-    * a task whose attempt raises is retried (bounded, with backoff);
-    * a task whose worker hangs or dies silently trips the per-task
-      timeout and is retried the same way;
-    * a task that exhausts its retries is recomputed in-process;
-    * if no pool can be created at all (restricted environments), the
-      whole list runs in-process.
-
-    Every recovery flows through ``runner.*`` obs counters
-    (``task_errors``, ``task_timeouts``, ``task_retries``,
-    ``recovered_tasks``, ``serial_fallbacks``).  ``fault_hook`` is the
-    test seam: a picklable callable (e.g.
-    :class:`repro.faults.WorkerFaultPlan`) invoked inside the worker
-    before simulation.
-    """
-    import multiprocessing as mp
-
-    if policy is None:
-        policy = RetryPolicy()
-    tracer = get_tracer()
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        ctx = mp.get_context()
-    try:
-        pool = ctx.Pool(processes=jobs)
-    except (OSError, PermissionError):  # pragma: no cover - sandboxed envs
-        tracer.add("runner.serial_fallbacks", len(specs))
-        return [simulate_run(spec) for spec in specs]
-
-    results: List[Optional[RunResult]] = [None] * len(specs)
-    try:
-        pending = {
-            i: pool.apply_async(_resilient_worker, (i, spec, 0, fault_hook))
-            for i, spec in enumerate(specs)
-        }
-        for i, spec in enumerate(specs):
-            attempt = 0
-            while True:
-                try:
-                    results[i] = pending[i].get(policy.task_timeout_s)
-                    break
-                except mp.TimeoutError:
-                    tracer.add("runner.task_timeouts")
-                except Exception:
-                    tracer.add("runner.task_errors")
-                attempt += 1
-                if attempt > policy.max_retries:
-                    # Authoritative fallback: the sweep's correctness
-                    # never depends on the pool behaving.
-                    results[i] = simulate_run(spec)
-                    tracer.add("runner.serial_fallbacks")
-                    break
-                delay = policy.backoff_for(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                tracer.add("runner.task_retries")
-                pending[i] = pool.apply_async(
-                    _resilient_worker, (i, spec, attempt, fault_hook)
-                )
-            if attempt > 0:
-                tracer.add("runner.recovered_tasks")
-    finally:
-        # terminate(), not close(): hung or injected-fault workers must
-        # not block sweep completion.
-        pool.terminate()
-        pool.join()
-    assert all(r is not None for r in results)
-    return results  # type: ignore[return-value]
-
-
 def run_catalog(
     system: Union[str, SystemSpec],
     catalog: Optional[Mapping[str, WorkloadSpec]] = None,
@@ -302,9 +201,6 @@ def run_catalog(
     work: float = DEFAULT_WORK,
     cache: Optional[RunCache] = None,
     use_cache: Optional[bool] = None,
-    jobs: Optional[int] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    fault_hook: Optional[Callable[[int, RunSpec, int], None]] = None,
 ) -> CatalogRuns:
     """Run every workload at every requested SMT level — one entry point.
 
@@ -335,12 +231,7 @@ def run_catalog(
       baseline);
     * ``"serial"`` — the scalar reference loop, one
       :func:`simulate_run` per spec with a nested ``run`` span each
-      (the source of ``repro stats``' slowest-runs table);
-    * ``"parallel"`` — the resilient multiprocessing fan-out over
-      ``jobs`` workers (default: the CPU count), governed by
-      ``retry_policy`` (:class:`repro.faults.RetryPolicy`) with
-      ``fault_hook`` as the test seam
-      (:class:`repro.faults.WorkerFaultPlan`).
+      (the source of ``repro stats``' slowest-runs table).
 
     ``use_cache``/``cache`` control the persistent run cache: hits skip
     simulation entirely, misses are simulated and stored.  For every
@@ -359,8 +250,6 @@ def run_catalog(
     itself accumulates ``runcache.hits`` / ``runcache.misses``.
     """
     strategy = Strategy.parse(strategy).value
-    if jobs is not None and strategy != "parallel":
-        raise ValueError(f"jobs= only applies to strategy='parallel', not {strategy!r}")
     system = resolve_system(system, n_chips)
     if catalog is None:
         catalog, default_levels = _default_catalog(system)
@@ -376,8 +265,6 @@ def run_catalog(
         )
     if use_cache and cache is None:
         cache = RunCache()
-    if strategy == "parallel" and jobs is None:
-        jobs = os.cpu_count() or 2
 
     tracer = get_tracer()
     with tracer.span(
@@ -401,7 +288,7 @@ def run_catalog(
         sweep.set(cache_hits=len(specs) - len(missing), cache_misses=len(missing))
         failed: Dict[int, str] = {}
         if missing:
-            with tracer.span("simulate", runs=len(missing), jobs=jobs or 1):
+            with tracer.span("simulate", runs=len(missing)):
                 todo = [specs[i] for i in missing]
                 fresh: List[Optional[RunResult]]
                 if strategy == "serial":
@@ -419,12 +306,7 @@ def run_catalog(
                 else:
                     surrogate_hits: List[bool] = [False] * len(todo)
                     try:
-                        if strategy == "parallel":
-                            fresh = list(_simulate_parallel(
-                                todo, jobs, policy=retry_policy,
-                                fault_hook=fault_hook,
-                            ))
-                        elif strategy == "surrogate":
+                        if strategy == "surrogate":
                             from repro.sim.surrogate import simulate_many_surrogate
 
                             fresh, surrogate_hits = simulate_many_surrogate(todo)

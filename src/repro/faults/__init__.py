@@ -7,19 +7,14 @@ Two halves:
   samples of whatever it wraps, reproducibly, from seeded RNG
   streams).  :func:`noise_profile` is the one-knob composite severity
   the robustness ablation sweeps.
-* **worker faults** — :class:`WorkerFaultPlan` crashes or stalls chosen
-  tasks inside the parallel sweep runner's worker processes, so the
-  recovery path (retry, backoff, serial fallback) is testable on
-  demand.
 * **serving chaos** — :class:`ChaosConfig` injects worker hangs, hard
   crashes, slow jobs and response corruption into the ``repro.serve``
   worker pool (:class:`ChaosPlan` executes it inside each worker);
   :func:`chaos_profile` is the serving analogue of
   :func:`noise_profile`, one scalar severity over every chaos axis.
 
-:class:`RetryPolicy` is the shared bounded-retry policy those recovery
-paths (the resilient sweep runner, the ``repro.serve`` worker dispatch)
-are configured with.
+:class:`RetryPolicy` is the bounded-retry policy the ``repro.serve``
+worker dispatch recovers with.
 
 See ``docs/robustness.md`` for the fault model and tuning guidance.
 """
@@ -33,7 +28,6 @@ from repro.faults.chaos import (
 )
 from repro.faults.model import FaultConfig, noise_profile
 from repro.faults.retry import RetryPolicy
-from repro.faults.workers import InjectedWorkerCrash, WorkerFaultPlan
 
 __all__ = [
     "ChaosConfig",
@@ -44,7 +38,5 @@ __all__ = [
     "noise_profile",
     "FaultyApp",
     "PROTECTED_EVENTS",
-    "InjectedWorkerCrash",
-    "WorkerFaultPlan",
     "RetryPolicy",
 ]

@@ -1,10 +1,8 @@
-"""Generic bounded-retry policy shared by the recovery paths.
+"""Bounded-retry policy for the prediction service's worker dispatch.
 
-:class:`RetryPolicy` started life inside the resilient parallel sweep
-runner (``repro.experiments.runner``); the prediction service
-(``repro.serve``) reuses the same knobs for its worker dispatch, so the
-policy now lives with the rest of the fault machinery.  The runner
-re-exports it for backward compatibility.
+:class:`repro.serve.batching.MicroBatcher` retries a failed or timed-out
+batch group under a :class:`RetryPolicy` (``ServeConfig.retry_policy``);
+the policy lives with the rest of the fault machinery.
 """
 
 from __future__ import annotations
@@ -22,10 +20,8 @@ class RetryPolicy:
     hangs (or dies without reporting — a hard crash leaves its task
     forever pending) is detected through it.  Failed attempts are
     retried up to ``max_retries`` times with exponential backoff
-    (``backoff_s * backoff_mult**attempt``); what happens when a task
-    exhausts its retries is the caller's decision — the sweep runner
-    falls back to authoritative in-process execution, the prediction
-    service fails the affected requests with a retryable error.
+    (``backoff_s * backoff_mult**(attempt - 1)``); a group that
+    exhausts its retries fails its requests with a retryable error.
     """
 
     task_timeout_s: float = 120.0

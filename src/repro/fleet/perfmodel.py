@@ -6,7 +6,7 @@ architecture and every job is a catalog workload at some SMT level, so
 the full space of distinct steady states is just ``arch x workload x
 level`` — about 140 rows for the reference fleet.  This module lowers
 that whole space onto the columnar :class:`~repro.sim.table.ScenarioTable`
-engine (or the surrogate fast path) as **one mega-batch**, then serves
+engine as **one mega-batch**, then serves
 the discrete-event loop from the precomputed results:
 
 * job service times — ``size * wall_time(arch, workload, level)``;
@@ -22,7 +22,7 @@ the discrete-event loop from the precomputed results:
   by every node: it is frozen, its events read-only, and corruption
   works on a copy.
 
-Models are memoized per ``(arch set, workload set, strategy)``, so the
+Models are memoized per ``(arch set, workload set)``, so the
 benchmark's policy x severity grid pays for the solve once.
 """
 
@@ -45,18 +45,12 @@ from repro.workloads.catalog import all_workloads
 
 __all__ = ["FleetPerfModel", "NodeMeter", "get_perf_model"]
 
-#: Fleet mega-batches run the two batch engines only; per-run serial
-#: strategies would defeat the point of the lowering.
-FLEET_STRATEGIES = ("columnar", "surrogate")
-
-
 @dataclass(frozen=True)
 class FleetPerfModel:
     """Precomputed reference runs and fitted predictors for one fleet."""
 
     arch_names: Tuple[str, ...]
     workload_names: Tuple[str, ...]
-    strategy: str
     systems: Mapping[str, SystemSpec]
     levels: Mapping[str, Tuple[int, ...]]
     #: runs[arch][workload][level] -> the size-1.0 reference run.
@@ -159,12 +153,7 @@ class NodeMeter:
 def _build(
     arch_names: Tuple[str, ...],
     workload_names: Tuple[str, ...],
-    strategy: str,
 ) -> FleetPerfModel:
-    if strategy not in FLEET_STRATEGIES:
-        raise ValueError(
-            f"fleet strategy must be one of {FLEET_STRATEGIES}, got {strategy!r}"
-        )
     catalog = all_workloads()
     unknown = [n for n in workload_names if n not in catalog]
     if unknown:
@@ -196,17 +185,10 @@ def _build(
                 )
                 index.append((arch, name, level))
 
-    with get_tracer().span(
-        "fleet.perfmodel", rows=len(specs), strategy=strategy
-    ):
-        if strategy == "surrogate":
-            from repro.sim.surrogate import simulate_many_surrogate
+    with get_tracer().span("fleet.perfmodel", rows=len(specs)):
+        from repro.sim.table import simulate_many_columnar
 
-            results, _ = simulate_many_surrogate(specs)
-        else:
-            from repro.sim.table import simulate_many_columnar
-
-            results = simulate_many_columnar(specs)
+        results = simulate_many_columnar(specs)
 
     runs: Dict[str, Dict[str, Dict[int, RunResult]]] = {
         arch: {name: {} for name in workload_names} for arch in arch_names
@@ -235,7 +217,6 @@ def _build(
     return FleetPerfModel(
         arch_names=arch_names,
         workload_names=workload_names,
-        strategy=strategy,
         systems=systems,
         levels=levels,
         runs=runs,
@@ -243,16 +224,15 @@ def _build(
     )
 
 
-_MODELS: Dict[Tuple[Tuple[str, ...], Tuple[str, ...], str], FleetPerfModel] = {}
+_MODELS: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], FleetPerfModel] = {}
 
 
 def get_perf_model(
     arch_names: Tuple[str, ...],
     workload_names: Tuple[str, ...],
-    strategy: str = "columnar",
 ) -> FleetPerfModel:
     """Memoized :func:`_build`; keys are the exact name tuples."""
-    key = (tuple(arch_names), tuple(workload_names), strategy)
+    key = (tuple(arch_names), tuple(workload_names))
     model = _MODELS.get(key)
     if model is None:
         model = _build(*key)

@@ -13,16 +13,13 @@ batch-key affinity routing (:mod:`repro.serve.workers`).  See
 Server side: :class:`ServeConfig`, :class:`PredictionServer`,
 :class:`BackgroundServer` (thread helper for tests and benchmarks),
 :class:`WorkerPool` / :class:`HotKeyCache` (the scale-out tier),
-:class:`WorkerWatchdog` (hang detection / quarantine),
-:class:`BrownoutGate` / :class:`DegradedResponder` (degraded-mode
-answers under sustained overload).
+:class:`WorkerWatchdog` (hang detection / quarantine).
 Client side: :class:`ServeClient` and its typed error hierarchy, plus
 :class:`ResilientClient` (retry + :class:`CircuitBreaker` + hedging).
 Handlers speak only through :mod:`repro.api`.
 """
 
 from repro.serve.batching import BatcherClosed, MicroBatcher, QueueFull
-from repro.serve.brownout import BrownoutGate, DegradedResponder
 from repro.serve.workers import (
     CorruptResponse,
     HotKeyCache,
@@ -52,14 +49,12 @@ from repro.serve.watchdog import WorkerWatchdog
 __all__ = [
     "BackgroundServer",
     "BatcherClosed",
-    "BrownoutGate",
     "CancelledError",
     "CircuitBreaker",
     "CircuitOpenError",
     "ClientRetryPolicy",
     "CorruptResponse",
     "DeadlineExceededError",
-    "DegradedResponder",
     "dispatch_batch",
     "HotKeyCache",
     "InternalError",

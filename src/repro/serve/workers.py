@@ -454,7 +454,7 @@ class WorkerPool:
         """Workers routing may use: the healthy ones, or — when every
         worker is quarantined — all of them (serving degraded beats
         serving nothing; the server layer also sees
-        :meth:`all_quarantined` and sheds/brownouts upstream)."""
+        :meth:`all_quarantined` and sheds upstream)."""
         now = time.monotonic()
         healthy = [w for w in self._workers if not w.quarantined(now)]
         return healthy or self._workers

@@ -77,7 +77,6 @@ class TestCleanPaths:
     def test_all_fast_paths_match_reference(self):
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         assert report.ok, [v.render() for v in report.violations]
         assert report.pillar == "differential"
@@ -85,14 +84,7 @@ class TestCleanPaths:
         # batched + columnar + surrogate (whole-batch gate + per run) +
         # runcache + predict, for each scenario/workload.
         assert report.checks_run == 4 + 4 + (1 + 4) + 4 + 2
-        assert report.stats["parallel_included"] is False
         assert report.stats["surrogate_rel_tol"] == 1e-2
-
-    def test_parallel_path_matches_reference(self):
-        report = run_differential_checks(
-            workloads=("EP",), levels=(1, 2), include_parallel=True,
-        )
-        assert report.ok, [v.render() for v in report.violations]
 
 
 class TestInjectedDivergence:
@@ -120,7 +112,6 @@ class TestInjectedDivergence:
     ):
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         assert not report.ok
         batched = [v for v in report.violations
@@ -140,7 +131,6 @@ class TestInjectedDivergence:
     ):
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         aggregate = CheckReport(pillars=(report,))
         assert aggregate.exit_code == 1
@@ -162,7 +152,6 @@ class TestInjectedDivergence:
         monkeypatch.setattr(table, "simulate_many_columnar", perturbed)
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         columnar = [v for v in report.violations
                     if v.check == "columnar_vs_serial"]
@@ -188,7 +177,6 @@ class TestInjectedDivergence:
         monkeypatch.setattr(surrogate, "simulate_many_surrogate", beyond_bound)
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         bad = [v for v in report.violations
                if v.check == "surrogate_vs_solver"]
@@ -208,7 +196,6 @@ class TestInjectedDivergence:
         )
         report = run_differential_checks(
             workloads=("EP", "SSCA2"), levels=(1, 4),
-            include_parallel=False,
         )
         gate = [v for v in report.violations
                 if v.check == "surrogate_vs_solver"]
@@ -227,7 +214,7 @@ class TestInjectedDivergence:
             ]
 
         report = run_differential_checks(
-            workloads=("EP",), levels=(1, 4), include_parallel=False,
+            workloads=("EP",), levels=(1, 4),
             simulate_batch=perturbed_many,
         )
         assert any(v.check == "batched_vs_serial" for v in report.violations)

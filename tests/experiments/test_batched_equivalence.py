@@ -117,13 +117,6 @@ class TestBatchedCatalog:
         run_catalog(p7_system(), sub, (1,), seed=6, cache=cache)
         assert len(cache) == 2
 
-    def test_jobs_path_matches(self, scalar_runs):
-        batched = run_catalog(
-            p7_system(), subset(), (1, 2, 4), strategy="parallel",
-            seed=5, use_cache=False, jobs=2,
-        )
-        assert_catalogs_match(scalar_runs, batched)
-
 
 class TestExplicitStrategies:
     @pytest.mark.parametrize("strategy", ["batched", "columnar"])

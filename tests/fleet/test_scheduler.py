@@ -112,10 +112,6 @@ class TestMixedFleet:
 
 
 class TestValidation:
-    def test_strategy_must_be_batchable(self):
-        with pytest.raises(ValueError, match="mega-batches"):
-            simulate_fleet(chips=2, jobs=10, strategy="serial")
-
     def test_unknown_policy_lists_options(self):
         with pytest.raises(ValueError, match="valid options"):
             simulate_fleet(chips=2, jobs=10, policy="smtms")

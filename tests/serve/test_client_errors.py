@@ -87,7 +87,7 @@ def _occupy_dispatcher(client: ServeClient) -> None:
 class TestSingleShotOverloaded:
     def test_request_raises_typed_overloaded_with_retry_hint(self, make_server):
         config = ServeConfig(
-            queue_size=1, max_linger_ms=0.0, brownout=False,
+            queue_size=1, max_linger_ms=0.0,
             session={"seed": 11, "use_cache": False},
         )
         bg = make_server(config)

@@ -50,3 +50,27 @@ def test_missing_scaling_knobs_detects_drift():
     check_docs = load_check_docs()
     absent = check_docs.missing_scaling_knobs(doc_text="just max_batch")
     assert "workers" in absent and "hot_cache_size" in absent
+
+
+def test_knob_tables_name_only_live_fields():
+    check_docs = load_check_docs()
+    assert check_docs.stale_scaling_knobs() == []
+    assert check_docs.stale_fleet_knobs() == []
+
+
+def test_stale_scaling_knobs_detects_drift():
+    check_docs = load_check_docs()
+    doc = ("| Knob | Default |\n|---|---|\n"
+           "| `workers` (`--workers`) | 1 |\n"
+           "| `host` / `port` | `127.0.0.1:0` |\n"
+           "| `warp_speed` (`--warp-speed`) | True |\n")
+    assert check_docs.stale_scaling_knobs(doc) == [
+        "`warp_speed` (`--warp-speed`)"]
+
+
+def test_stale_fleet_knobs_detects_drift():
+    check_docs = load_check_docs()
+    doc = ("| knob | meaning |\n|---|---|\n"
+           "| `load` | offered load |\n"
+           "| `strategy` | mega-batch engine |\n")
+    assert check_docs.stale_fleet_knobs(doc) == ["`strategy`"]

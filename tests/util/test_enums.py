@@ -40,6 +40,12 @@ class TestStrategyEnum:
         assert Strategy.COLUMNAR == "columnar"
         assert Strategy.parse("surrogate") is Strategy.SURROGATE
 
+    def test_parallel_is_not_a_strategy(self):
+        with pytest.raises(ValueError) as exc:
+            Strategy.parse("parallel")
+        assert "'parallel'" in str(exc.value)
+        assert "valid options: columnar, surrogate, batched, serial" in str(exc.value)
+
     def test_run_catalog_rejects_typo_with_options(self):
         with pytest.raises(ValueError, match="colmnar"):
             run_catalog("p7", strategy="colmnar")
