@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.metric import SmtsmResult, smtsm, smtsm_from_run
-from repro.core.predictor import Observation, SmtPredictor
+from repro.core.predictor import SmtPredictor
 from repro.counters.pmu import CounterSample
 from repro.experiments.runner import (
     DEFAULT_STRATEGY,
@@ -43,6 +43,8 @@ from repro.experiments.runner import (
     Strategy,
     resolve_system,
     run_catalog,
+    scatter_from_runs,
+    solve_specs,
 )
 from repro.fleet import (
     FleetConfig,
@@ -53,7 +55,6 @@ from repro.fleet import (
 from repro.fleet import simulate_fleet as _simulate_fleet
 from repro.obs import get_tracer
 from repro.sim.engine import DEFAULT_WORK, RunSpec
-from repro.sim.results import RunResult, speedup
 from repro.sim.runcache import RunCache, cache_enabled_by_default
 from repro.simos.system import SystemSpec
 from repro.workloads import all_workloads, get_workload
@@ -222,55 +223,12 @@ class Session:
                     self.system, seed=self.seed, work=self.work,
                     cache=self._cache, use_cache=self.use_cache,
                 )
-            runs = self._fit_runs
-            observations = []
-            for name in runs.complete_names((measure, high, low)):
-                by_level = runs.runs[name]
-                observations.append(Observation(
-                    name=name,
-                    metric=smtsm_from_run(by_level[measure]).value,
-                    speedup=speedup(by_level[high], by_level[low]),
-                ))
-            fitted = SmtPredictor.fit(
-                observations, high_level=high, low_level=low,
-                method=self.threshold_method,
-            )
+            fitted = scatter_from_runs(
+                self._fit_runs, title=self.system.arch.name,
+                measure_level=measure, high_level=high, low_level=low,
+            ).fit_predictor(self.threshold_method)
             self._predictors[key] = fitted
         return fitted
-
-    def _simulate(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Cache-aware batched simulation of arbitrary run specs.
-
-        The missing-spec batch is lowered into one columnar
-        :class:`~repro.sim.table.ScenarioTable` solve; in surrogate mode
-        the calibrated fast path answers in-bound rows directly and only
-        out-of-calibration rows fall back to the full solver.  Surrogate
-        answers are approximate, so they are never written back to the
-        exact run cache.
-        """
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        missing: List[int] = []
-        if self._cache is not None:
-            for i, spec in enumerate(specs):
-                results[i] = self._cache.get(spec)
-                if results[i] is None:
-                    missing.append(i)
-        else:
-            missing = list(range(len(specs)))
-        if missing:
-            todo = [specs[i] for i in missing]
-            if self.surrogate:
-                from repro.sim.surrogate import simulate_many_surrogate
-                fresh, hits = simulate_many_surrogate(todo)
-            else:
-                from repro.sim.table import simulate_many_columnar
-                fresh = simulate_many_columnar(todo)
-                hits = [False] * len(todo)
-            for pos, (i, result) in enumerate(zip(missing, fresh)):
-                results[i] = result
-                if self._cache is not None and not hits[pos]:
-                    self._cache.put(specs[i], result)
-        return results  # type: ignore[return-value]
 
     # -- the facade operations ----------------------------------------
 
@@ -290,9 +248,11 @@ class Session:
         """Answer many prediction queries through one vectorized batch.
 
         This is the amortization point the serving layer's micro-batcher
-        dispatches to: all measurement runs are lowered into one columnar
-        :class:`~repro.sim.table.ScenarioTable` solve (cache hits
-        skipped), then scored and thresholded individually.
+        dispatches to: all measurement runs go through one
+        :func:`~repro.experiments.runner.solve_specs` call (one columnar
+        :class:`~repro.sim.table.ScenarioTable` solve for the cache
+        misses, or the surrogate path), then are scored and thresholded
+        individually.  A failed run re-raises its own exception.
         """
         parsed: List[PredictQuery] = [
             q if isinstance(q, PredictQuery) else PredictQuery(**q)
@@ -313,7 +273,11 @@ class Session:
                     useful_instructions=self.work,
                     seed=q.seed if q.seed is not None else self.seed,
                 ))
-            results = self._simulate(specs)
+            results = solve_specs(
+                specs,
+                strategy=Strategy.SURROGATE if self.surrogate else DEFAULT_STRATEGY,
+                cache=self._cache,
+            ).or_raise()
             predictions = []
             for q, run_spec, result in zip(parsed, specs, results):
                 metric = smtsm_from_run(result)

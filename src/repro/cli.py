@@ -32,14 +32,10 @@ def _system_help() -> str:
 
 
 def _system(name: str) -> SystemSpec:
-    from repro.arch import get_architecture
+    from repro.experiments.runner import resolve_system
 
-    if name == "p7x2":
-        return SystemSpec(get_architecture("power7"), 2)
-    if name == "p7":
-        return SystemSpec(get_architecture("power7"), 1)
     try:
-        return SystemSpec(get_architecture(name), 1)
+        return resolve_system(name)
     except KeyError:
         raise SystemExit(
             f"unknown system {name!r} (use one of: {', '.join(_system_names())})"
@@ -90,36 +86,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = get_workload(args.name)
     levels = [args.smt] if args.smt else list(system.arch.smt_levels)
     use_cache = args.cache if args.cache is not None else cache_enabled_by_default()
-    cache = RunCache() if use_cache else None
     run_specs = [
         RunSpec(system, level, spec.stream, spec.sync, seed=args.seed)
         for level in levels
     ]
+    from repro.experiments.runner import solve_specs
     from repro.obs import get_tracer
 
-    results: List[Optional[object]] = [None] * len(run_specs)
     with get_tracer().span(
         "cli.run",
         workload=spec.name,
         system=f"{system.arch.name} x{system.n_chips}",
         runs=len(run_specs),
     ) as span:
-        missing = []
-        for i, run_spec in enumerate(run_specs):
-            if cache is not None:
-                results[i] = cache.get(run_spec)
-            if results[i] is None:
-                missing.append(i)
-        span.set(cache_hits=len(run_specs) - len(missing),
-                 cache_misses=len(missing))
-        if missing:
-            from repro.sim.table import simulate_many_columnar
-
-            fresh = simulate_many_columnar([run_specs[i] for i in missing])
-            for i, result in zip(missing, fresh):
-                results[i] = result
-                if cache is not None:
-                    cache.put(run_specs[i], result)
+        solved = solve_specs(run_specs, cache=RunCache() if use_cache else None)
+        span.set(cache_hits=solved.cache_hits,
+                 cache_misses=len(run_specs) - solved.cache_hits)
+    results = solved.or_raise()
 
     rows = []
     metric_row = None
@@ -139,8 +122,6 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"dispHeld={metric_row.dispatch_held:.4f} "
               f"wall/cpu={metric_row.scalability_ratio:.4f}")
     if telemetry_path is not None:
-        from repro.obs import get_tracer
-
         get_tracer().close()
         print(f"\ntelemetry written to {telemetry_path} "
               f"(summarize with: python -m repro stats {telemetry_path})")

@@ -8,19 +8,22 @@ SMT1/2/4, and speedups compare completion of the *same work*.
 :func:`run_catalog` executes a benchmark set once per SMT level and
 caches the runs; every scatter figure (6, 8-15) is then a cheap
 projection: pick the measurement level for the metric and a level pair
-for the speedup.  One entry point covers every execution strategy:
-``run_catalog(arch_or_system, ..., strategy="columnar"|"surrogate"|
-"batched"|"serial")`` — the columnar scenario-table engine (default),
+for the speedup.
+
+:func:`solve_specs` is the one solve path under every entry point
+(``run_catalog``, :mod:`repro.api`, ``repro run``, the hetero
+decomposition and the fleet perf model): run-cache lookup, dispatch on
+a :class:`Strategy` -- the columnar scenario-table engine (default),
 the calibrated surrogate fast path, the legacy vectorized batch engine,
-or the scalar reference loop.  :data:`DEFAULT_STRATEGY` is the one
-default every public sweep entry point shares (``run_catalog``, the
-:mod:`repro.api` sweeps, the serve ``sweep`` op and its client).
+or the scalar reference loop -- per-run salvage, and write-back.
+:data:`DEFAULT_STRATEGY` is the one default every public entry point
+shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.analysis.success import SuccessSummary, success_summary
 from repro.core.metric import SmtsmResult, smtsm_from_run
@@ -45,31 +48,42 @@ __all__ = [
     "ScatterPoint",
     "ScatterResult",
     "scatter_from_runs",
+    "Solved",
+    "solve_specs",
 ]
 
 
 class Strategy(ValidatedStrEnum):
-    """Execution strategies the unified :func:`run_catalog` accepts.
+    """Execution strategies :func:`solve_specs` dispatches on.
 
     Members are their literal strings (``Strategy.COLUMNAR ==
     "columnar"``), so both the typed constants and the historical bare
     strings are valid everywhere a ``strategy=`` parameter appears; a
-    typo raises a ``ValueError`` listing the valid options.
+    typo raises a ``ValueError`` listing the valid options.  All give
+    the same answers (to round-off; the surrogate to its verified
+    error bound).
     """
 
+    #: The batch as one :class:`repro.sim.table.ScenarioTable` per
+    #: architecture, solved with whole-table numpy ops (the default).
     COLUMNAR = "columnar"
+    #: :mod:`repro.sim.surrogate` warm starts answer confident runs;
+    #: the rest fall back to the columnar solver.
     SURROGATE = "surrogate"
+    #: The legacy per-scenario lockstep, :func:`simulate_many`.
     BATCHED = "batched"
+    #: The scalar reference: one :func:`simulate_run` per spec, each in
+    #: a ``run`` span (``repro stats``' slowest-runs table).
     SERIAL = "serial"
 
 
 #: The strategies as plain literals (kept for existing callers).
 STRATEGIES = Strategy.options()
 
-#: The strategy every public sweep entry point runs unless told
-#: otherwise: ``run_catalog``, ``Session.sweep``/``sweep_summary``,
-#: ``api.sweep``/``sweep_summary``, the serve ``sweep`` op and
-#: ``ServeClient.sweep``.
+#: The strategy every public entry point runs unless told otherwise:
+#: ``run_catalog``, ``Session.sweep``/``predict_many`` (without
+#: ``surrogate=True``), ``api.sweep``, ``repro run``, the serve ops,
+#: ``ServeClient.sweep`` and the fleet perf model.
 DEFAULT_STRATEGY = Strategy.COLUMNAR
 
 #: Named systems accepted wherever a :class:`SystemSpec` is expected:
@@ -211,45 +225,22 @@ def run_catalog(
     (Table I for POWER7, the Fig. 10/12 set for Nehalem), ``levels`` to
     the architecture's SMT levels.
 
-    ``strategy`` selects how the runs execute; all of them produce the
-    same :class:`CatalogRuns` (to floating-point round-off; the
-    surrogate to its verified error bound):
-
-    * ``"columnar"`` (:data:`DEFAULT_STRATEGY`) — the whole sweep
-      lowered into one struct-of-arrays
-      :class:`repro.sim.table.ScenarioTable` per architecture and
-      solved with whole-table numpy ops
-      (:func:`repro.sim.table.simulate_many_columnar`);
-    * ``"surrogate"`` — the calibrated fast path
-      (:func:`repro.sim.surrogate.simulate_many_surrogate`): verified
-      regression warm starts answer confident runs, the rest fall back
-      to the columnar solver.  Surrogate-answered results are *not*
-      written to the run cache (they carry a bounded approximation,
-      the cache stores exact solver output);
-    * ``"batched"`` — the previous per-scenario-object lockstep via
-      :func:`repro.sim.engine.simulate_many` (kept as the benchmark
-      baseline);
-    * ``"serial"`` — the scalar reference loop, one
-      :func:`simulate_run` per spec with a nested ``run`` span each
-      (the source of ``repro stats``' slowest-runs table).
-
-    ``use_cache``/``cache`` control the persistent run cache: hits skip
-    simulation entirely, misses are simulated and stored.  For every
+    ``strategy`` picks the engine (:class:`Strategy`).  The runs go
+    through :func:`solve_specs`, which owns the run-cache rule and the
+    failure policy.  ``use_cache``/``cache`` pick the cache: for every
     strategy except serial the default honours the ``REPRO_RUNCACHE``
     environment switch; the serial strategy is the uncached reference
     path unless a ``cache`` is passed explicitly.
-
-    A run that fails to simulate does not abort the sweep: the batch
-    is salvaged run-by-run, the failure lands in
-    :attr:`CatalogRuns.failures` and the ``runner.failed_runs`` obs
-    counter, and projections skip the incomplete workload.
+    A run that fails does not abort the sweep: it lands in
+    :attr:`CatalogRuns.failures` (``"Type: message"``) and projections
+    skip the incomplete workload.
 
     Telemetry: one ``runner.run_catalog`` span covers the sweep
     (attrs: system, run count, strategy, cache hits/misses), with
     nested ``cache_lookup`` and ``simulate`` phases; the run cache
     itself accumulates ``runcache.hits`` / ``runcache.misses``.
     """
-    strategy = Strategy.parse(strategy).value
+    strategy = Strategy.parse(strategy)
     system = resolve_system(system, n_chips)
     if catalog is None:
         catalog, default_levels = _default_catalog(system)
@@ -258,97 +249,134 @@ def run_catalog(
     if levels is None:
         levels = system.arch.smt_levels
     keyed = _catalog_specs(system, catalog, levels, seed, work)
-    specs = [spec for _, _, spec in keyed]
     if use_cache is None:
         use_cache = cache is not None or (
-            strategy != "serial" and cache_enabled_by_default()
+            strategy is not Strategy.SERIAL and cache_enabled_by_default()
         )
-    if use_cache and cache is None:
-        cache = RunCache()
+    cache = (RunCache() if cache is None else cache) if use_cache else None
 
-    tracer = get_tracer()
-    with tracer.span(
+    with get_tracer().span(
         "runner.run_catalog",
         system=f"{system.arch.name} x{system.n_chips}",
-        runs=len(specs),
-        strategy=strategy,
-        cached=bool(use_cache and cache is not None),
+        runs=len(keyed),
+        strategy=strategy.value,
+        cached=cache is not None,
     ) as sweep:
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        missing: List[int] = []
-        if use_cache and cache is not None:
-            with tracer.span("cache_lookup", runs=len(specs)):
-                for i, spec in enumerate(specs):
-                    results[i] = cache.get(spec)
-                    if results[i] is None:
-                        missing.append(i)
-        else:
-            missing = list(range(len(specs)))
-
-        sweep.set(cache_hits=len(specs) - len(missing), cache_misses=len(missing))
-        failed: Dict[int, str] = {}
-        if missing:
-            with tracer.span("simulate", runs=len(missing)):
-                todo = [specs[i] for i in missing]
-                fresh: List[Optional[RunResult]]
-                if strategy == "serial":
-                    fresh = []
-                    for idx, (spec, (name, level, _)) in enumerate(
-                        zip(todo, (keyed[i] for i in missing))
-                    ):
-                        with tracer.span("run", workload=name, level=level):
-                            try:
-                                fresh.append(simulate_run(spec))
-                            except Exception as exc:
-                                fresh.append(None)
-                                failed[missing[idx]] = f"{type(exc).__name__}: {exc}"
-                                tracer.add("runner.failed_runs")
-                else:
-                    surrogate_hits: List[bool] = [False] * len(todo)
-                    try:
-                        if strategy == "surrogate":
-                            from repro.sim.surrogate import simulate_many_surrogate
-
-                            fresh, surrogate_hits = simulate_many_surrogate(todo)
-                            fresh = list(fresh)
-                        elif strategy == "columnar":
-                            from repro.sim.table import simulate_many_columnar
-
-                            fresh = list(simulate_many_columnar(todo))
-                        else:
-                            fresh = list(simulate_many(todo))
-                    except Exception:
-                        # One bad spec must not abort the whole sweep:
-                        # salvage run-by-run and report the casualties.
-                        fresh = []
-                        surrogate_hits = [False] * len(todo)
-                        for idx, spec in zip(missing, todo):
-                            try:
-                                fresh.append(simulate_run(spec))
-                            except Exception as exc:
-                                fresh.append(None)
-                                failed[idx] = f"{type(exc).__name__}: {exc}"
-                                tracer.add("runner.failed_runs")
-                for pos, (i, result) in enumerate(zip(missing, fresh)):
-                    results[i] = result
-                    if (
-                        result is not None
-                        and use_cache
-                        and cache is not None
-                        and not surrogate_hits[pos]
-                    ):
-                        cache.put(specs[i], result)
-        if failed:
-            sweep.set(failed_runs=len(failed))
+        solved = solve_specs(
+            [spec for _, _, spec in keyed],
+            strategy=strategy,
+            cache=cache,
+            names=[name for name, _, _ in keyed],
+        )
+        sweep.set(cache_hits=solved.cache_hits,
+                  cache_misses=len(keyed) - solved.cache_hits)
+        if solved.errors:
+            sweep.set(failed_runs=len(solved.errors))
 
     all_runs: Dict[str, Dict[int, RunResult]] = {}
     failures: Dict[str, str] = {}
-    for i, ((name, level, _), result) in enumerate(zip(keyed, results)):
+    for i, ((name, level, _), result) in enumerate(zip(keyed, solved.results)):
         if result is None:
-            failures[f"{name}@SMT{level}"] = failed.get(i, "unknown failure")
-            continue
-        all_runs.setdefault(name, {})[level] = result
+            exc = solved.errors[i]
+            failures[f"{name}@SMT{level}"] = f"{type(exc).__name__}: {exc}"
+        else:
+            all_runs.setdefault(name, {})[level] = result
     return CatalogRuns(system=system, runs=all_runs, seed=seed, failures=failures)
+
+
+class Solved(NamedTuple):
+    """What :func:`solve_specs` returns, aligned with its input specs."""
+
+    #: One result per spec; ``None`` where the run failed.
+    results: List[Optional[RunResult]]
+    #: Spec index -> the exception that run raised.
+    errors: Dict[int, Exception]
+    #: How many specs the run cache answered.
+    cache_hits: int
+
+    def or_raise(self) -> List[RunResult]:
+        """The results, re-raising the first failed run's own exception."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+        return self.results  # type: ignore[return-value]
+
+
+def solve_specs(
+    specs: Sequence[RunSpec],
+    *,
+    strategy: str = DEFAULT_STRATEGY,
+    cache: Optional[RunCache] = None,
+    names: Optional[Sequence[str]] = None,
+) -> Solved:
+    """Answer run specs: the one solve path behind every entry point.
+
+    ``run_catalog``, :class:`repro.api.Session`, ``repro run``, the
+    hetero decomposition and the fleet perf model all come here, so the
+    cache rule, the engine choice and the failure policy live once:
+
+    * with a ``cache``, hits skip simulation (a ``cache_lookup`` span)
+      and solved runs are written back, except surrogate-accepted
+      answers: they are approximate, the cache stores exact output;
+    * misses go to the ``strategy``'s engine in a ``simulate`` span
+      (serial: a nested ``run`` span per spec, ``workload`` from
+      ``names``);
+    * a batch that raises is salvaged run by run through
+      :func:`simulate_run`; each failure's exception lands in
+      :attr:`Solved.errors` and the ``runner.failed_runs`` counter.
+
+    Engines are looked up at call time so instrumentation can wrap
+    them by name.
+    """
+    strategy = Strategy.parse(strategy)
+    tracer = get_tracer()
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    if cache is not None:
+        with tracer.span("cache_lookup", runs=len(specs)):
+            for i, spec in enumerate(specs):
+                results[i] = cache.get(spec)
+        missing = [i for i, result in enumerate(results) if result is None]
+    else:
+        missing = list(range(len(specs)))
+    errors: Dict[int, Exception] = {}
+
+    def salvage(i: int) -> Optional[RunResult]:
+        try:
+            return simulate_run(specs[i])
+        except Exception as exc:
+            errors[i] = exc
+            tracer.add("runner.failed_runs")
+            return None
+
+    if missing:
+        with tracer.span("simulate", runs=len(missing)):
+            todo = [specs[i] for i in missing]
+            approximate: Sequence[bool] = [False] * len(todo)
+            if strategy is Strategy.SERIAL:
+                fresh = []
+                for i in missing:
+                    with tracer.span("run", workload=names[i] if names else None,
+                                     level=specs[i].smt_level):
+                        fresh.append(salvage(i))
+            else:
+                try:
+                    if strategy is Strategy.SURROGATE:
+                        from repro.sim.surrogate import simulate_many_surrogate
+
+                        fresh, approximate = simulate_many_surrogate(todo)
+                    elif strategy is Strategy.COLUMNAR:
+                        from repro.sim.table import simulate_many_columnar
+
+                        fresh = simulate_many_columnar(todo)
+                    else:
+                        fresh = simulate_many(todo)
+                except Exception:
+                    # One bad spec must not sink the batch.
+                    fresh = [salvage(i) for i in missing]
+            for i, result, skip in zip(missing, fresh, approximate):
+                results[i] = result
+                if cache is not None and result is not None and not skip:
+                    cache.put(specs[i], result)
+    return Solved(results, errors, len(specs) - len(missing))
 
 
 @dataclass(frozen=True)

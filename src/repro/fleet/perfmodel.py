@@ -6,8 +6,9 @@ architecture and every job is a catalog workload at some SMT level, so
 the full space of distinct steady states is just ``arch x workload x
 level`` — about 140 rows for the reference fleet.  This module lowers
 that whole space onto the columnar :class:`~repro.sim.table.ScenarioTable`
-engine as **one mega-batch**, then serves
-the discrete-event loop from the precomputed results:
+engine as **one mega-batch** (through
+:func:`~repro.experiments.runner.solve_specs`, with no run cache), then
+serves the discrete-event loop from the precomputed results:
 
 * job service times — ``size * wall_time(arch, workload, level)``;
 * per-arch :class:`~repro.core.predictor.SmtPredictor` thresholds,
@@ -30,15 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.arch.registry import get_architecture
-from repro.core.metric import smtsm_from_run
-from repro.core.predictor import Observation, SmtPredictor
+from repro.core.predictor import SmtPredictor
 from repro.counters.pmu import CounterSample
+from repro.experiments.runner import CatalogRuns, scatter_from_runs, solve_specs
 from repro.obs import get_tracer
 from repro.sim.engine import RunSpec
-from repro.sim.results import RunResult, speedup
+from repro.sim.results import RunResult
 from repro.simos.system import SystemSpec
 from repro.util.validation import check_positive
 from repro.workloads.catalog import all_workloads
@@ -167,52 +168,43 @@ def _build(
         levels[arch] = tuple(sorted(system.arch.smt_levels))
 
     # One mega-batch over the whole (arch x workload x level) space.
-    specs: List[RunSpec] = []
-    index: List[Tuple[str, str, int]] = []
-    for arch in arch_names:
-        for name in workload_names:
-            spec = catalog[name]
-            for level in levels[arch]:
-                specs.append(
-                    RunSpec(
-                        system=systems[arch],
-                        smt_level=level,
-                        stream=spec.stream,
-                        sync=spec.sync,
-                        seed=0,
-                        noise_rel=0.0,
-                    )
-                )
-                index.append((arch, name, level))
-
+    keys = [
+        (arch, name, level)
+        for arch in arch_names
+        for name in workload_names
+        for level in levels[arch]
+    ]
+    specs = [
+        RunSpec(
+            system=systems[arch],
+            smt_level=level,
+            stream=catalog[name].stream,
+            sync=catalog[name].sync,
+            seed=0,
+            noise_rel=0.0,
+        )
+        for arch, name, level in keys
+    ]
     with get_tracer().span("fleet.perfmodel", rows=len(specs)):
-        from repro.sim.table import simulate_many_columnar
-
-        results = simulate_many_columnar(specs)
+        results = solve_specs(specs).or_raise()
 
     runs: Dict[str, Dict[str, Dict[int, RunResult]]] = {
         arch: {name: {} for name in workload_names} for arch in arch_names
     }
-    for (arch, name, level), result in zip(index, results):
+    for (arch, name, level), result in zip(keys, results):
         runs[arch][name][level] = result
 
     predictors: Dict[str, Dict[int, SmtPredictor]] = {}
     for arch in arch_names:
         high = levels[arch][-1]
-        fitted: Dict[int, SmtPredictor] = {}
-        for low in levels[arch][:-1]:
-            observations = [
-                Observation(
-                    name=name,
-                    metric=smtsm_from_run(runs[arch][name][high]).value,
-                    speedup=speedup(runs[arch][name][high], runs[arch][name][low]),
-                )
-                for name in workload_names
-            ]
-            fitted[low] = SmtPredictor.fit(
-                observations, high_level=high, low_level=low
-            )
-        predictors[arch] = fitted
+        catalog_runs = CatalogRuns(system=systems[arch], runs=runs[arch], seed=0)
+        predictors[arch] = {
+            low: scatter_from_runs(
+                catalog_runs, title=arch, measure_level=high,
+                high_level=high, low_level=low, names=workload_names,
+            ).fit_predictor()
+            for low in levels[arch][:-1]
+        }
 
     return FleetPerfModel(
         arch_names=arch_names,

@@ -3,7 +3,7 @@
 A stdlib-only asyncio TCP service that answers ``predict`` / ``sweep``
 / ``score`` requests over an NDJSON protocol, coalescing concurrent
 requests into dynamic micro-batches that amortize one
-``simulate_many`` dispatch across many clients.  With ``workers > 1``
+``Session.predict_many`` solve across many clients.  With ``workers > 1``
 the dispatcher shards those batches across a process pool with
 batch-key affinity routing (:mod:`repro.serve.workers`).  See
 ``docs/serving.md`` for the protocol and batching model,

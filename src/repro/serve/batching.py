@@ -25,7 +25,9 @@ whose dispatch raises (or exceeds ``task_timeout_s``), or whose result
 batch fails the :func:`repro.serve.workers.validate_results` shape
 check (a corrupted response), is retried with exponential backoff;
 exhausted retries fail that group's requests with the dispatch error,
-never the whole service.
+never the whole service.  A client error (``ValueError``/``KeyError``/
+``TypeError``) from a group of several requests is not retried: each
+request is re-dispatched alone, so only the malformed one fails.
 
 Deadlines travel with the work: the async plane forwards each item's
 absolute deadline to the pool so workers abandon already-expired
@@ -43,8 +45,8 @@ the mean batch size), a ``serve.batch_size_le_N`` histogram,
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.faults.retry import RetryPolicy
 from repro.obs import get_tracer
@@ -292,6 +294,7 @@ class MicroBatcher:
         deadlines = [item.deadline_t for item in items]
         policy = self.retry_policy
         attempt = 0
+        split = False
         with tracer.span("serve.batch", size=size):
             while True:
                 try:
@@ -316,6 +319,9 @@ class MicroBatcher:
                     raise
                 except Exception as exc:
                     attempt += 1
+                    if size > 1 and not _retryable(exc):
+                        split = True
+                        break
                     if attempt > policy.max_retries or not _retryable(exc):
                         tracer.add("serve.dispatch_failures")
                         for item in items:
@@ -326,6 +332,13 @@ class MicroBatcher:
                     delay = policy.backoff_for(attempt)
                     if delay > 0:
                         await asyncio.sleep(delay)
+        if split:
+            # A client error fails only its own request: answer each
+            # coalesced item alone.
+            for item in items:
+                if not item.abandoned():
+                    await self._dispatch_group(key, [item])
+            return
         for item, result in zip(items, results):
             if item.future.done():
                 continue

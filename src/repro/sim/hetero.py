@@ -5,11 +5,10 @@ DRAM bandwidth is statically QoS-partitioned (see ``repro.arch.hetero``),
 so a run that spreads an SPMD workload across the whole chip decomposes
 *exactly* into one independent homogeneous sub-run per cluster: each
 cluster solves its own port/bandwidth fixed point against its own
-bandwidth slice, at its own SMT level.  That makes every existing
-engine — the scalar reference, the batched solver, and the columnar
-:class:`~repro.sim.table.ScenarioTable` — reusable per cluster, and the
-serial-vs-columnar differential bound (≤ 1e-9 relative) carries over to
-heterogeneous results for free.
+bandwidth slice, at its own SMT level.  That makes every
+:class:`~repro.experiments.runner.Strategy` reusable per cluster, and
+the serial-vs-columnar differential bound (≤ 1e-9 relative) carries over
+to heterogeneous results for free.
 
 The chip-level wall time is the slowest cluster's wall time (a barrier
 at the end of the data-parallel region); chip-level throughput is the
@@ -23,16 +22,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.hetero import HeteroChip
 from repro.sim.chip import ChipSolution, solve_chip
-from repro.sim.engine import DEFAULT_WORK, RunSpec, simulate_many, simulate_run
+from repro.sim.engine import DEFAULT_WORK, RunSpec
 from repro.sim.results import RunResult
 from repro.sim.stream import StreamParams
 from repro.simos.scheduler import place_threads
 from repro.simos.sync import SyncProfile
 from repro.simos.system import SystemSpec
-
-#: Mirrors ``repro.experiments.runner.Strategy`` for the subset that is
-#: meaningful per cluster.
-_STRATEGIES = ("serial", "batched", "columnar")
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,7 @@ class HeteroResult:
 
 def simulate_hetero(spec: HeteroRunSpec, strategy: str = "columnar") -> HeteroResult:
     """Simulate one hetero run via the per-cluster decomposition."""
-    results = simulate_many_hetero([spec], strategy=strategy)
-    return results[0]
+    return simulate_many_hetero([spec], strategy=strategy)[0]
 
 
 def simulate_many_hetero(
@@ -138,49 +132,25 @@ def simulate_many_hetero(
     """Simulate many hetero runs, batching sub-runs across specs.
 
     All clusters of all specs are flattened into one spec list and
-    handed to the selected engine — the columnar path then groups by
-    cluster architecture instance, so e.g. every ``biglittle.big``
-    sub-run across the whole batch shares one :class:`ScenarioTable`.
+    handed to :func:`repro.experiments.runner.solve_specs` (no run
+    cache), so every :class:`~repro.experiments.runner.Strategy` works
+    per cluster.  The columnar path groups by cluster architecture
+    instance, so e.g. every ``biglittle.big`` sub-run across the whole
+    batch shares one :class:`ScenarioTable`.  A failed sub-run raises.
     """
-    if strategy not in _STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r} for hetero runs; use one of "
-            f"{_STRATEGIES}"
+    from repro.experiments.runner import solve_specs
+
+    shapes = [(hspec, hspec.cluster_specs()) for hspec in specs]
+    flat = [sub for _, subs in shapes for _, sub in subs]
+    results = iter(solve_specs(flat, strategy=strategy).or_raise())
+    return [
+        HeteroResult(
+            chip=hspec.chip,
+            levels=hspec.resolved_levels(),
+            cluster_results={name: next(results) for name, _ in subs},
         )
-    specs = list(specs)
-    flat: List[RunSpec] = []
-    shapes: List[Tuple[HeteroRunSpec, List[str]]] = []
-    for hspec in specs:
-        names: List[str] = []
-        for name, sub in hspec.cluster_specs():
-            names.append(name)
-            flat.append(sub)
-        shapes.append((hspec, names))
-
-    if strategy == "serial":
-        flat_results = [simulate_run(s) for s in flat]
-    elif strategy == "batched":
-        flat_results = simulate_many(flat)
-    else:
-        from repro.sim.table import simulate_many_columnar
-
-        flat_results = simulate_many_columnar(flat)
-
-    out: List[HeteroResult] = []
-    cursor = 0
-    for hspec, names in shapes:
-        cluster_results = {
-            name: flat_results[cursor + i] for i, name in enumerate(names)
-        }
-        cursor += len(names)
-        out.append(
-            HeteroResult(
-                chip=hspec.chip,
-                levels=hspec.resolved_levels(),
-                cluster_results=cluster_results,
-            )
-        )
-    return out
+        for hspec, subs in shapes
+    ]
 
 
 def solve_hetero_chip(

@@ -26,9 +26,9 @@ constructor argument, and disable default use entirely by setting
 counter events, per-thread IPC), so a cache hit reconstructs a
 :class:`RunResult` that is exactly equal to the recomputed one.
 
-**Multi-process safety.**  The serving tier's worker pool (and
-``--jobs`` sweeps) has many processes reading and writing one cache
-directory concurrently, with no lock.  Three rules make that safe:
+**Multi-process safety.**  The serving tier's worker pool has many
+processes reading and writing one cache directory concurrently, with
+no lock.  Three rules make that safe:
 
 * *Atomic publish*: :meth:`RunCache.put` writes the payload to an
   exclusive ``mkstemp`` temp file in the cache directory and publishes

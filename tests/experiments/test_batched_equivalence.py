@@ -131,28 +131,46 @@ class TestExplicitStrategies:
         with pytest.raises(ValueError, match="unknown strategy"):
             run_catalog(p7_system(), subset(), (1,), strategy="bogus")
 
-    def test_surrogate_results_never_enter_the_exact_cache(self, tmp_path):
+    def test_surrogate_results_never_enter_the_exact_cache(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.api import PredictQuery, Session
         from repro.obs import configure
 
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            cache = RunCache(tmp_path / "rc")
+        def sweep(cache):
             run_catalog(
                 p7_system(), subset(), (1, 2, 4), strategy="surrogate",
                 seed=5, cache=cache,
             )
-            counters = tracer.counters()
-        finally:
-            configure(enabled=False)
+
+        def predict(cache):
+            # The session's cache is the default one, under the env dir;
+            # a pinned threshold skips the exact catalog sweep a fit runs.
+            monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(cache.root))
+            session = Session(p7_system(), seed=5, use_cache=True,
+                              surrogate=True, threshold=0.1)
+            session.predict_many([
+                PredictQuery(name, level) for name in SUBSET_NAMES
+                for level in (1, 2, 4)
+            ])
+
+        for entry in (sweep, predict):
+            tracer = configure(enabled=True)
             tracer.reset()
-        hits = counters.get("surrogate.hits", 0)
-        fallbacks = counters.get("surrogate.fallbacks", 0)
-        assert hits + fallbacks == len(SUBSET_NAMES) * 3
-        assert hits > 0, "surrogate must engage on catalog workloads"
-        # Approximate answers must not poison the exact run cache: only
-        # solver fallbacks may be persisted.
-        assert len(cache) == fallbacks
+            try:
+                cache = RunCache(tmp_path / entry.__name__)
+                entry(cache)
+                counters = tracer.counters()
+            finally:
+                configure(enabled=False)
+                tracer.reset()
+            hits = counters.get("surrogate.hits", 0)
+            fallbacks = counters.get("surrogate.fallbacks", 0)
+            assert hits + fallbacks == len(SUBSET_NAMES) * 3, entry.__name__
+            assert hits > 0, "surrogate must engage on catalog workloads"
+            # Approximate answers must not poison the exact run cache:
+            # only solver fallbacks may be persisted.
+            assert len(cache) == fallbacks, entry.__name__
 
     def test_surrogate_matches_scalar_within_bound(self, scalar_runs):
         from repro.check.differential import compare_runs

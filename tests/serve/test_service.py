@@ -145,6 +145,33 @@ class TestCoalescing:
         )
 
 
+class TestClientErrorIsolation:
+    @pytest.mark.parametrize("bad", [
+        {"workload": "NOPE"},
+        {"workload": "EP", "level": 3},   # POWER7 has no SMT3
+        {},
+    ], ids=["unknown-workload", "invalid-level", "missing-workload"])
+    def test_bad_predict_fails_only_itself(self, bad, tracer, make_server):
+        """A malformed predict coalesced with a valid one fails alone."""
+        # max_batch=2 closes the pair's batch at once; a lone request
+        # waits out the linger.
+        config = ServeConfig(max_linger_ms=300.0, max_batch=2,
+                             session={"seed": 11, "use_cache": False})
+        bg = make_server(config)
+        with ServeClient(bg.host, bg.port) as client:
+            alone = client.predict("EP")
+            tracer.reset()
+            good_id = client._send("predict", {"workload": "EP"}, None)
+            bad_id = client._send("predict", bad, None)
+            good, rejected = client._recv(good_id), client._recv(bad_id)
+        assert tracer.counters().get("serve.batch_size_le_2") == 1, (
+            "the two requests were not coalesced into one batch"
+        )
+        assert good["ok"] and good["result"] == alone
+        assert not rejected["ok"]
+        assert rejected["error"]["code"] == "invalid_request"
+
+
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self, tracer, make_server):
         # queue_size=1: with the worker busy on sweep A and sweep B
