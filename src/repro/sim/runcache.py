@@ -19,7 +19,32 @@ The cache key is a SHA-256 over a canonical JSON rendering of:
 
 Floats are embedded with ``repr`` round-tripping (Python's ``json``
 preserves IEEE doubles exactly), so any change in any input produces a
-different key.  Entries live under ``results/.runcache/`` by default;
+different key.
+
+**How a key is assembled.**  The hashed text is
+``constants JSON + NUL + arch JSON + NUL + spec JSON``, each part
+``json.dumps(..., sort_keys=True)``.  Only the last part varies from
+run to run, so a lookup does not re-render the rest:
+
+* the SHA-256 state after ``constants + NUL + arch + NUL`` is kept per
+  architecture (``_ARCH_MEMO``, which also serves the arch JSON to
+  :func:`repro.check.goldens.model_fingerprint`); a key ``copy()``s it;
+* the spec JSON's ``"stream"``/``"sync"`` sub-objects are rendered once
+  per ``(stream, sync)`` pair (``_WORKLOAD_MEMO``), and the scalar
+  fields are spliced around that fragment in ``sort_keys`` order, so
+  the text is byte for byte what one ``json.dumps`` of the whole spec
+  object would give.
+
+Both memos key on object *identity* and pin the objects they key on
+(so an id cannot be reused while its entry lives), never on value:
+``data_sharing=-0.0`` equals ``0.0`` and hashes alike but renders
+differently, so a value-keyed memo would hand one spec the other's key.
+Registered architectures and catalog workloads are shared instances,
+so repeated sweeps hit; each memo is cleared when it reaches its cap.
+``tests/sim/test_runcache.py`` pins key and payload bytes written by
+earlier versions, so existing entries stay addressable.
+
+Entries live under ``results/.runcache/`` by default;
 override with the ``REPRO_RUNCACHE_DIR`` environment variable or the
 constructor argument, and disable default use entirely by setting
 ``REPRO_RUNCACHE=0``.  Stored payloads carry the full result (times,
@@ -147,45 +172,6 @@ def _arch_fingerprint(arch: Architecture) -> Dict[str, Any]:
     }
 
 
-def _spec_fingerprint(spec) -> Dict[str, Any]:
-    stream = spec.stream
-    return {
-        "smt_level": spec.smt_level,
-        "n_threads": spec.resolved_threads(),
-        "n_chips": spec.system.n_chips,
-        "useful_instructions": spec.useful_instructions,
-        "seed": spec.seed,
-        "noise_rel": spec.noise_rel,
-        "stream": {
-            "mix": stream.mix.vector.tolist(),
-            "ilp": stream.ilp,
-            "mlp": stream.mlp,
-            "branch_mispredict_rate": stream.branch_mispredict_rate,
-            "memory": asdict(stream.memory),
-        },
-        "sync": asdict(spec.sync),
-    }
-
-
-#: Architectures are unhashable (dict-valued partition tables), so their
-#: serialized fingerprints are memoized by object identity; the stored
-#: reference pins the id against reuse.  The memo is cleared when full,
-#: so freshly built architectures cannot grow it without bound.
-_ARCH_FP_CACHE: Dict[int, Tuple[Architecture, str]] = {}
-_ARCH_FP_CACHE_MAX = 64
-
-
-def _arch_fp_json(arch: Architecture) -> str:
-    hit = _ARCH_FP_CACHE.get(id(arch))
-    if hit is not None and hit[0] is arch:
-        return hit[1]
-    text = json.dumps(_arch_fingerprint(arch), sort_keys=True)
-    if len(_ARCH_FP_CACHE) >= _ARCH_FP_CACHE_MAX:
-        _ARCH_FP_CACHE.clear()
-    _ARCH_FP_CACHE[id(arch)] = (arch, text)
-    return text
-
-
 _CONSTANTS_FP_JSON: Optional[str] = None
 
 
@@ -196,14 +182,92 @@ def _constants_fp_json() -> str:
     return _CONSTANTS_FP_JSON
 
 
+#: Architectures are unhashable (dict-valued partition tables), so the
+#: per-architecture part of every key is memoized by object identity:
+#: ``id(arch) -> (arch, constants JSON, arch JSON, key prefix)``, where
+#: the prefix is a SHA-256 already fed ``constants + NUL + arch + NUL``.
+#: The stored reference pins the id against reuse; an entry built under
+#: other constants is rebuilt.  The memo is cleared when full, so
+#: freshly built architectures cannot grow it without bound.
+_ARCH_MEMO: Dict[int, Tuple[Architecture, str, str, Any]] = {}
+_ARCH_MEMO_MAX = 64
+
+
+def _arch_entry(arch: Architecture) -> Tuple[Architecture, str, str, Any]:
+    constants = _constants_fp_json()
+    hit = _ARCH_MEMO.get(id(arch))
+    if hit is not None and hit[0] is arch and hit[1] is constants:
+        return hit
+    arch_json = json.dumps(_arch_fingerprint(arch), sort_keys=True)
+    prefix = hashlib.sha256(
+        constants.encode() + b"\x00" + arch_json.encode() + b"\x00"
+    )
+    if len(_ARCH_MEMO) >= _ARCH_MEMO_MAX:
+        _ARCH_MEMO.clear()
+    entry = (arch, constants, arch_json, prefix)
+    _ARCH_MEMO[id(arch)] = entry
+    return entry
+
+
+def _arch_fp_json(arch: Architecture) -> str:
+    return _arch_entry(arch)[2]
+
+
+#: The ``"stream": {...}, "sync": {...}`` fragment of the spec JSON,
+#: memoized by the identities of the pair and pinned like the arch memo
+#: (never by value: see the module docstring on ``-0.0``).
+_WORKLOAD_MEMO: Dict[Tuple[int, int], Tuple[Any, Any, str]] = {}
+_WORKLOAD_MEMO_MAX = 256
+
+
+def _workload_fp_json(stream, sync) -> str:
+    hit = _WORKLOAD_MEMO.get((id(stream), id(sync)))
+    if hit is not None and hit[0] is stream and hit[1] is sync:
+        return hit[2]
+    fingerprint = {
+        "stream": {
+            "mix": stream.mix.vector.tolist(),
+            "ilp": stream.ilp,
+            "mlp": stream.mlp,
+            "branch_mispredict_rate": stream.branch_mispredict_rate,
+            "memory": asdict(stream.memory),
+        },
+        "sync": asdict(sync),
+    }
+    text = json.dumps(fingerprint, sort_keys=True)[1:-1]  # drop the braces
+    if len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_MAX:
+        _WORKLOAD_MEMO.clear()
+    _WORKLOAD_MEMO[(id(stream), id(sync))] = (stream, sync, text)
+    return text
+
+
+_INF = float("inf")
+
+
+def _scalar_json(value) -> str:
+    """``json.dumps(value)`` for one number, without building an encoder."""
+    if type(value) is int or (type(value) is float and -_INF < value < _INF):
+        return repr(value)
+    return json.dumps(value)
+
+
 def run_cache_key(spec) -> str:
     """Content-hash key for one :class:`repro.sim.engine.RunSpec`."""
-    digest = hashlib.sha256()
-    digest.update(_constants_fp_json().encode())
-    digest.update(b"\x00")
-    digest.update(_arch_fp_json(spec.system.arch).encode())
-    digest.update(b"\x00")
-    digest.update(json.dumps(_spec_fingerprint(spec), sort_keys=True).encode())
+    digest = _arch_entry(spec.system.arch)[3].copy()
+    # The spec object as ``json.dumps(..., sort_keys=True)`` renders it.
+    text = (
+        '{"n_chips": %s, "n_threads": %s, "noise_rel": %s, "seed": %s, '
+        '"smt_level": %s, %s, "useful_instructions": %s}' % (
+            _scalar_json(spec.system.n_chips),
+            _scalar_json(spec.resolved_threads()),
+            _scalar_json(spec.noise_rel),
+            _scalar_json(spec.seed),
+            _scalar_json(spec.smt_level),
+            _workload_fp_json(spec.stream, spec.sync),
+            _scalar_json(spec.useful_instructions),
+        )
+    )
+    digest.update(text.encode())
     return digest.hexdigest()
 
 
@@ -216,13 +280,20 @@ PAYLOAD_SCHEMA = 2
 
 
 def _result_payload(result: RunResult) -> Dict[str, Any]:
+    times = result.times
     return {
         "schema": PAYLOAD_SCHEMA,
         "smt_level": result.smt_level,
         "n_threads": result.n_threads,
         "n_chips": result.n_chips,
         "useful_instructions": result.useful_instructions,
-        "times": asdict(result.times),
+        "times": {
+            "wall_time_s": times.wall_time_s,
+            "serial_time_s": times.serial_time_s,
+            "parallel_time_s": times.parallel_time_s,
+            "total_cpu_s": times.total_cpu_s,
+            "n_threads": times.n_threads,
+        },
         "events": dict(result.events),
         "spin_fraction": result.spin_fraction,
         "blocked_fraction": result.blocked_fraction,
@@ -246,7 +317,7 @@ def _result_from_payload(payload: Dict[str, Any], arch: Architecture) -> RunResu
         blocked_fraction=float(payload["blocked_fraction"]),
         mem_latency_mult=float(payload["mem_latency_mult"]),
         mem_utilization=float(payload["mem_utilization"]),
-        per_thread_ipc=tuple(float(v) for v in payload["per_thread_ipc"]),
+        per_thread_ipc=tuple(map(float, payload["per_thread_ipc"])),
         dispatch_held_fraction=float(payload["dispatch_held_fraction"]),
     )
 
@@ -268,6 +339,12 @@ class RunCache:
     def key(self, spec) -> str:
         return run_cache_key(spec)
 
+    def _discard(self, key: str) -> None:
+        try:
+            self._path(key).unlink()
+        except OSError:  # pragma: no cover - racing eviction
+            pass
+
     def get(self, spec) -> Optional[RunResult]:
         """The cached result for ``spec``, or ``None`` on a miss.
 
@@ -281,33 +358,29 @@ class RunCache:
         ``runcache.schema_mismatch``.
         """
         tracer = get_tracer()
-        path = self._path(run_cache_key(spec))
+        key = run_cache_key(spec)
         try:
-            text = path.read_text()
+            with open(f"{self.root}{os.sep}{key}.json", "rb", buffering=0) as handle:
+                data = handle.read()
         except OSError:
             tracer.add("runcache.misses")
             return None
         try:
-            payload = json.loads(text)
+            payload = json.loads(data)
             if (not isinstance(payload, dict)
                     or payload.get("schema") != PAYLOAD_SCHEMA):
                 # A different (or pre-versioning) payload layout: the
                 # fields may parse but mean something else.  Refuse it.
                 tracer.add("runcache.misses")
                 tracer.add("runcache.schema_mismatch")
-                try:
-                    path.unlink()
-                except OSError:  # pragma: no cover - racing eviction
-                    pass
+                self._discard(key)
                 return None
             result = _result_from_payload(payload, spec.system.arch)
         except (ValueError, KeyError, TypeError):
+            # ValueError covers undecodable bytes (UnicodeDecodeError).
             tracer.add("runcache.misses")
             tracer.add("runcache.corrupt")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing eviction
-                pass
+            self._discard(key)
             return None
         tracer.add("runcache.hits")
         return result
