@@ -10,14 +10,12 @@ fails loudly rather than silently doubling every sweep.
 from repro.arch import power7
 from repro.experiments.systems import p7_system
 from repro.sim.chip import solve_chip
-from repro.sim.cycle_core import CycleCore
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.fast_core import CoreInput, solve_core
 from repro.simos import NO_SYNC
 from repro.simos.scheduler import place_threads
 from repro.workloads import get_workload
 
-EP = get_workload("EP")
 EQUAKE = get_workload("Equake")
 
 
@@ -45,15 +43,3 @@ def test_perf_simulate_run(benchmark):
     assert result.wall_time_s > 0
     assert benchmark.stats["mean"] < 0.5
 
-
-def test_perf_cycle_engine_throughput(benchmark):
-    def window():
-        core = CycleCore(power7(), 4, [EP.stream] * 4, seed=2)
-        return core.run(1000, warmup=100)
-
-    result = benchmark.pedantic(window, rounds=3, iterations=1)
-    instrs = sum(result.instructions)
-    rate = instrs / benchmark.stats["mean"]
-    # Pure-Python pipeline: anything above 10k instructions/s is fine
-    # for the validation windows it serves.
-    assert rate > 1e4

@@ -22,10 +22,10 @@ SECTIONS = (
         "threshold_transfer", "scaling_cores",
     )),
     ("Ablations and extensions", (
-        "ablation_factors", "ablation_perf_overhead", "ablation_engines",
+        "ablation_factors", "ablation_perf_overhead",
         "ablation_threshold_methods", "ablation_priorities",
-        "ablation_fetch_policy", "coschedule_symbiosis",
-        "related_mathis_power5", "armsmt_transfer", "hetero_biglittle",
+        "coschedule_symbiosis", "related_mathis_power5", "armsmt_transfer",
+        "hetero_biglittle",
     )),
 )
 

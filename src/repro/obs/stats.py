@@ -106,8 +106,6 @@ class TelemetrySummary:
             "close_leaks": "serve.worker.close_leaks",
             "client_retries": "client.retries",
             "client_reconnects": "client.reconnects",
-            "client_hedges": "client.hedges",
-            "client_hedge_wins": "client.hedge_wins",
             "client_breaker_opens": "client.breaker_opens",
             "client_giveups": "client.giveups",
         }
@@ -302,8 +300,6 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
                         f"close_leaks={supervision['close_leaks']:g}"],
             ["client", f"retries={supervision['client_retries']:g} "
                        f"reconnects={supervision['client_reconnects']:g} "
-                       f"hedges={supervision['client_hedges']:g} "
-                       f"hedge_wins={supervision['client_hedge_wins']:g} "
                        f"breaker_opens={supervision['client_breaker_opens']:g} "
                        f"giveups={supervision['client_giveups']:g}"],
         ]

@@ -15,7 +15,7 @@ Server side: :class:`ServeConfig`, :class:`PredictionServer`,
 :class:`WorkerPool` / :class:`HotKeyCache` (the scale-out tier),
 :class:`WorkerWatchdog` (hang detection / quarantine).
 Client side: :class:`ServeClient` and its typed error hierarchy, plus
-:class:`ResilientClient` (retry + :class:`CircuitBreaker` + hedging).
+:class:`ResilientClient` (retry + reconnect + :class:`CircuitBreaker`).
 Handlers speak only through :mod:`repro.api`.
 """
 

@@ -21,7 +21,7 @@ operations with the fleet-facing survival kit — jittered-exponential
 retry that honors the server's ``retry_after_ms`` hint
 (:class:`ClientRetryPolicy`), automatic reconnection, a per-client
 :class:`CircuitBreaker` (open after consecutive failures, half-open
-probes), and opt-in request hedging against the latency tail.  The
+probes).  The
 serving-chaos phase of ``scripts/bench_robustness.py`` measures exactly
 this gap: availability under worker chaos with the naive vs the
 resilient client.
@@ -34,9 +34,8 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.experiments.runner import DEFAULT_STRATEGY
 from repro.obs import get_tracer
@@ -316,8 +315,8 @@ class CircuitBreaker:
     :meth:`allow` refuses instantly — the client stops hammering a
     server that is clearly down.  After the timeout one *probe* attempt
     is allowed through (half-open): success closes the circuit, failure
-    re-opens it for another full timeout.  Thread-safe (hedge threads
-    record outcomes concurrently).
+    re-opens it for another full timeout.  Thread-safe, so one breaker
+    may guard several clients.
     """
 
     def __init__(self, failure_threshold: int = 5,
@@ -389,18 +388,8 @@ class CircuitBreaker:
                 get_tracer().add("client.breaker_opens")
 
 
-class _Lane:
-    """One connection a :class:`ResilientClient` may have in flight."""
-
-    __slots__ = ("client", "busy")
-
-    def __init__(self):
-        self.client: Optional[ServeClient] = None
-        self.busy = False
-
-
 class ResilientClient:
-    """Retrying, breaker-guarded, optionally hedging serving client.
+    """Retrying, breaker-guarded serving client.
 
     Same operation surface as :class:`ServeClient` (``request`` /
     ``predict`` / ``sweep`` / ``score_counters`` / ``ping``), but each
@@ -411,123 +400,47 @@ class ResilientClient:
     * retryable typed errors back off and retry per ``policy``,
       honoring the server's ``retry_after_ms`` (``client.retries``);
     * ``breaker`` trips after consecutive failures and refuses with
-      :class:`CircuitOpenError` while open;
-    * with ``hedge_after_ms`` set, an attempt that has not answered by
-      then races a duplicate on a second connection — first response
-      wins (``client.hedges`` / ``client.hedge_wins``).  Hedge only
-      idempotent traffic: every built-in op is a pure function of its
-      params, but a duplicated request does cost server work.
+      :class:`CircuitOpenError` while open.
 
-    Like :class:`ServeClient`, one instance serves one caller thread
-    (the hedging threads are internal).
+    Like :class:`ServeClient`, one instance serves one caller thread.
     """
 
     def __init__(self, host: str, port: int, *,
                  policy: Optional[ClientRetryPolicy] = None,
                  breaker: Optional[CircuitBreaker] = None,
-                 hedge_after_ms: Optional[float] = None,
                  timeout_s: float = 60.0,
                  seed: int = 0):
-        if hedge_after_ms is not None and hedge_after_ms < 0:
-            raise ValueError(
-                f"hedge_after_ms must be >= 0, got {hedge_after_ms}"
-            )
         self.host = host
         self.port = port
         self.policy = policy or ClientRetryPolicy()
         self.breaker = breaker or CircuitBreaker()
-        self.hedge_after_ms = hedge_after_ms
         self.timeout_s = timeout_s
         self._rng = random.Random(seed)
-        self._lanes: List[_Lane] = [_Lane()]
-        self._lanes_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    # -- lanes (connections) --------------------------------------------
-
-    def _checkout(self) -> _Lane:
-        """A lane no other in-flight attempt is using (may grow the list)."""
-        with self._lanes_lock:
-            for lane in self._lanes:
-                if not lane.busy:
-                    lane.busy = True
-                    return lane
-            lane = _Lane()
-            lane.busy = True
-            self._lanes.append(lane)
-            return lane
-
-    def _checkin(self, lane: _Lane) -> None:
-        with self._lanes_lock:
-            lane.busy = False
+        self._client: Optional[ServeClient] = None
 
     def _attempt(self, op: str, params: Mapping[str, Any],
                  deadline_ms: Optional[float]) -> Any:
-        """One attempt on one lane; reconnects a broken lane first."""
-        lane = self._checkout()
-        try:
-            if lane.client is None:
-                lane.client = ServeClient(
-                    self.host, self.port, timeout_s=self.timeout_s
-                )
-                get_tracer().add("client.connects")
-            try:
-                return lane.client.request(op, params, deadline_ms=deadline_ms)
-            except (ConnectionError, socket.timeout, OSError):
-                # The transport is gone; drop the connection so the next
-                # attempt on this lane dials fresh.
-                lane.client.close()
-                lane.client = None
-                get_tracer().add("client.reconnects")
-                raise
-        finally:
-            self._checkin(lane)
-
-    # -- the hedged attempt ----------------------------------------------
-
-    def _hedge_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=4, thread_name_prefix="repro-client-hedge"
+        """One attempt; dials first if the last transport broke."""
+        if self._client is None:
+            self._client = ServeClient(
+                self.host, self.port, timeout_s=self.timeout_s
             )
-        return self._pool
-
-    def _attempt_hedged(self, op: str, params: Mapping[str, Any],
-                        deadline_ms: Optional[float]) -> Any:
-        """Primary attempt, plus a duplicate if it is slow; first wins.
-
-        The losing attempt keeps running on its own lane until the
-        server answers it (responses to a reused lane are parked by
-        :class:`ServeClient`'s id-matching, so the lane stays usable).
-        """
-        pool = self._hedge_pool()
-        primary = pool.submit(self._attempt, op, params, deadline_ms)
-        done, _ = wait([primary], timeout=self.hedge_after_ms / 1000.0)
-        if done:
-            return primary.result()
-        get_tracer().add("client.hedges")
-        hedge = pool.submit(self._attempt, op, params, deadline_ms)
-        futures = {primary, hedge}
-        first_exc: Optional[BaseException] = None
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    if first_exc is None:
-                        first_exc = exc
-                else:
-                    if future is hedge:
-                        get_tracer().add("client.hedge_wins")
-                    return result
-        raise first_exc
+            get_tracer().add("client.connects")
+        try:
+            return self._client.request(op, params, deadline_ms=deadline_ms)
+        except (ConnectionError, socket.timeout, OSError):
+            # The transport is gone; drop the connection so the next
+            # attempt dials fresh.
+            self._client.close()
+            self._client = None
+            get_tracer().add("client.reconnects")
+            raise
 
     # -- the retry loop ----------------------------------------------------
 
     def request(self, op: str, params: Optional[Mapping[str, Any]] = None, *,
                 deadline_ms: Optional[float] = None) -> Any:
-        """Send one request with retries/breaker/hedging; block for a result.
+        """Send one request with retries and the breaker; block for a result.
 
         Raises :class:`CircuitOpenError` without touching the network
         while the breaker is open; otherwise raises the final attempt's
@@ -545,10 +458,7 @@ class ResilientClient:
                     retry_after_ms=self.breaker.retry_after_ms(),
                 )
             try:
-                if self.hedge_after_ms is not None:
-                    result = self._attempt_hedged(op, params, deadline_ms)
-                else:
-                    result = self._attempt(op, params, deadline_ms)
+                result = self._attempt(op, params, deadline_ms)
             except RETRYABLE_CLIENT_ERRORS as exc:
                 self.breaker.record_failure()
                 last_exc, hint = exc, exc.retry_after_ms
@@ -586,14 +496,9 @@ class ResilientClient:
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        with self._lanes_lock:
-            for lane in self._lanes:
-                if lane.client is not None:
-                    lane.client.close()
-                    lane.client = None
+        if self._client is not None:
+            self._client.close()
+            self._client = None
 
     def __enter__(self) -> "ResilientClient":
         return self

@@ -1,21 +1,19 @@
 """SMT chip-multiprocessor simulator.
 
-Two engines share one semantic model of an out-of-order SMT core:
+One semantic model of an out-of-order SMT core, solved two ways:
 
-* :mod:`repro.sim.fast_core` — a vectorized mean-value-analysis engine
-  that solves for steady-state per-thread throughput, port utilization
-  and dispatch-held fraction in closed form.  Used for full experiment
-  sweeps (hundreds of benchmark x SMT-level runs).
-* :mod:`repro.sim.cycle_core` — a per-cycle pipeline engine with a real
-  dispatch/issue-queue/ROB structure.  Used to validate the fast engine
-  and for micro-experiments.
+* :func:`repro.sim.engine.simulate_run` — the serial reference.  It
+  solves one run at a time through :mod:`repro.sim.fast_core`, a
+  mean-value-analysis core model that gives steady-state per-thread
+  throughput, port utilization and dispatch-held fraction in closed
+  form, inside :mod:`repro.sim.chip`'s shared-L3 / DRAM-bandwidth /
+  NUMA fixed point.
+* :class:`repro.sim.table.ScenarioTable` — the production solver.
+  Every public sweep runs on it: it solves a whole sweep as
+  struct-of-arrays operations and is checked against the serial
+  reference and the figure goldens by ``repro check``.
 
-Chip-level composition (shared L3, DRAM bandwidth, NUMA) lives in
-:mod:`repro.sim.chip`; the full-system run loop in
-:mod:`repro.sim.engine`.  Every public sweep runs on the columnar
-engine (:mod:`repro.sim.table`), which solves a whole sweep as
-struct-of-arrays operations.  The legacy batched engine
-(:class:`repro.sim.fast_core.CoreBatch`,
+The legacy batched engine (:class:`repro.sim.fast_core.CoreBatch`,
 :func:`repro.sim.chip.solve_chip_batch`,
 :func:`repro.sim.engine.simulate_many`) stays selectable with
 ``strategy="batched"``, and :mod:`repro.sim.runcache` persists
@@ -37,20 +35,6 @@ from repro.sim.chip import ChipSolution, solve_chip, solve_chip_batch
 from repro.sim.results import RunResult
 from repro.sim.engine import RunSpec, simulate_many, simulate_run
 from repro.sim.runcache import RunCache, run_cache_key
-
-#: Names served from :mod:`repro.sim.cycle_core` on first access
-#: (PEP 562): no sweep, serve or fleet path runs the cycle engine, so
-#: importing the package does not load it.
-_CYCLE_CORE_NAMES = ("CycleCore", "CycleCoreResult", "InstructionGenerator")
-
-
-def __getattr__(name: str):
-    if name in _CYCLE_CORE_NAMES:
-        from repro.sim import cycle_core
-
-        return getattr(cycle_core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "MemoryBehavior",
@@ -75,7 +59,4 @@ __all__ = [
     "simulate_run",
     "RunCache",
     "run_cache_key",
-    "CycleCore",
-    "CycleCoreResult",
-    "InstructionGenerator",
 ]

@@ -7,6 +7,7 @@ time is much cheaper than debugging a nonsense steady-state downstream.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -26,14 +27,14 @@ def check_fraction(name: str, value: float, *, inclusive: bool = True) -> float:
 
 def check_positive(name: str, value: float) -> float:
     v = float(value)
-    if not (v > 0.0) or not np.isfinite(v):
+    if not (v > 0.0) or not math.isfinite(v):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return v
 
 
 def check_nonnegative(name: str, value: float) -> float:
     v = float(value)
-    if v < 0.0 or not np.isfinite(v):
+    if v < 0.0 or not math.isfinite(v):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return v
 

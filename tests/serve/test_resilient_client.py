@@ -1,4 +1,4 @@
-"""The resilient client: retry schedule, circuit breaker, hedging.
+"""The resilient client: retry schedule, circuit breaker, reconnects.
 
 Unit tests drive the retry loop against a stubbed ``_attempt`` (no
 network), so every branch — retryable error, transport error, final
@@ -8,7 +8,6 @@ client against a live server.
 """
 
 import random
-import threading
 import time
 
 import pytest
@@ -181,40 +180,6 @@ class TestRequestLoop:
         with pytest.raises(OverloadedError):
             client.request("ping")
         assert len(calls) == 1              # the hinted delay blows the budget
-        client.close()
-
-    def test_hedge_after_ms_validated(self):
-        with pytest.raises(ValueError):
-            ResilientClient("127.0.0.1", 1, hedge_after_ms=-1.0)
-
-
-class TestHedging:
-    def test_slow_primary_is_hedged_and_first_response_wins(self, tracer):
-        client = ResilientClient("127.0.0.1", 1, hedge_after_ms=10.0)
-        lock = threading.Lock()
-        order = []
-
-        def fake_attempt(op, params, deadline_ms):
-            with lock:
-                order.append(op)
-                n = len(order)
-            if n == 1:
-                time.sleep(0.3)
-                return "slow"
-            return "fast"
-
-        client._attempt = fake_attempt
-        assert client.request("predict", {}) == "fast"
-        counters = tracer.counters()
-        assert counters["client.hedges"] == 1.0
-        assert counters["client.hedge_wins"] == 1.0
-        client.close()
-
-    def test_fast_primary_never_hedges(self, tracer):
-        client = ResilientClient("127.0.0.1", 1, hedge_after_ms=200.0)
-        client._attempt = lambda op, params, deadline_ms: "primary"
-        assert client.request("ping") == "primary"
-        assert "client.hedges" not in tracer.counters()
         client.close()
 
 

@@ -34,7 +34,8 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive("x", 2.5) == 2.5
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"),
+                                       float("-inf")])
     def test_rejects(self, value):
         with pytest.raises(ValueError):
             check_positive("x", value)
@@ -44,7 +45,8 @@ class TestCheckNonnegative:
     def test_accepts_zero(self):
         assert check_nonnegative("x", 0.0) == 0.0
 
-    @pytest.mark.parametrize("value", [-0.1, float("nan")])
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf"),
+                                       float("-inf")])
     def test_rejects(self, value):
         with pytest.raises(ValueError):
             check_nonnegative("x", value)
