@@ -321,8 +321,9 @@ def solve_specs(
       (serial: a nested ``run`` span per spec, ``workload`` from
       ``names``);
     * a batch that raises is salvaged run by run through
-      :func:`simulate_run`; each failure's exception lands in
-      :attr:`Solved.errors` and the ``runner.failed_runs`` counter.
+      :func:`simulate_run` (counted in ``runner.batch_salvaged``); each
+      failure's exception lands in :attr:`Solved.errors` and the
+      ``runner.failed_runs`` counter.
 
     Engines are looked up at call time so instrumentation can wrap
     them by name.
@@ -371,6 +372,7 @@ def solve_specs(
                         fresh = simulate_many(todo)
                 except Exception:
                     # One bad spec must not sink the batch.
+                    tracer.add("runner.batch_salvaged")
                     fresh = [salvage(i) for i in missing]
             for i, result, skip in zip(missing, fresh, approximate):
                 results[i] = result

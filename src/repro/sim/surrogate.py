@@ -33,7 +33,7 @@ counters are produced by the same code path as the full solver; the
 ``surrogate_vs_solver`` differential pillar pins the end-to-end error.
 
 Cost: a typical all-phases-accepted batch needs ~4-8 whole-table kernel
-evaluations instead of the ~68 a bisection-driven batch performs.
+evaluations instead of the ~51 a bisection-driven batch performs.
 """
 
 from __future__ import annotations

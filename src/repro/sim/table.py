@@ -98,6 +98,14 @@ class _Sol:
         self.run_traffic = run_traffic
         self.util = util
 
+    def split(self, rows: int, runs: int) -> Tuple["_Sol", "_Sol"]:
+        """The solution of the view's first ``runs`` runs (its first
+        ``rows`` rows) and that of the rest."""
+        return (
+            _Sol(self.x[:rows], self.held[:rows], self.run_traffic[:runs], self.util[:runs]),
+            _Sol(self.x[rows:], self.held[rows:], self.run_traffic[runs:], self.util[runs:]),
+        )
+
 
 def _latency_multiplier(traffic: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """Vector mirror of :meth:`BandwidthModel.latency_multiplier`."""
@@ -236,32 +244,34 @@ class _View:
         All active brackets halve together, so the loop exits for every
         run at the same step (~14 of the nominal 40).  The blend terms
         are computed once for the phase; every probe before the final
-        solve is ``util_only``.
+        solve is ``util_only``.  The brackets are kept compressed to the
+        runs still bisecting (``act``), which shrinks as they close.
         """
-        m = len(self)
         terms = self.blend(w)
-        final_mult = np.ones(m)
+        final_mult = np.ones(len(self))
         undone = self.solve(final_mult, terms=terms, util_only=True).util > TOLERANCE
         steps = 0
         if undone.any():
             hi_mult = self.hi_mult
             sol_hi = self.solve(np.where(undone, hi_mult, 1.0), terms=terms, util_only=True)
             saturated = undone & (sol_hi.util >= RHO_CAP)
-            final_mult = np.where(saturated, hi_mult, final_mult)
-            active = undone & ~saturated
-            lo = np.zeros(m)
-            hi = np.full(m, RHO_CAP)
+            final_mult[saturated] = hi_mult[saturated]
+            act = np.flatnonzero(undone & ~saturated)
+            cap = self.cap[act]
+            lo = np.zeros(len(act))
+            hi = np.full(len(act), RHO_CAP)
             for _ in range(BISECTION_STEPS):
-                if not active.any():
+                if not len(act):
                     break
                 steps += 1
                 mid = (lo + hi) / 2.0
-                step_mult = _latency_multiplier(mid * self.cap, self.cap)
-                final_mult = np.where(active, step_mult, final_mult)
-                above = self.solve(final_mult, terms=terms, util_only=True).util > mid
-                lo = np.where(active & above, mid, lo)
-                hi = np.where(active & ~above, mid, hi)
-                active = active & ~((hi - lo) < TOLERANCE)
+                final_mult[act] = _latency_multiplier(mid * cap, cap)
+                above = self.solve(final_mult, terms=terms, util_only=True).util[act] > mid
+                lo = np.where(above, mid, lo)
+                hi = np.where(above, hi, mid)
+                bisecting = ~((hi - lo) < TOLERANCE)
+                if not bisecting.all():
+                    act, cap, lo, hi = (a[bisecting] for a in (act, cap, lo, hi))
         sol = self.solve(final_mult, terms=terms)
         tracer = get_tracer()
         if tracer.enabled:
@@ -501,18 +511,36 @@ class ScenarioTable:
         blocked_a = np.zeros(J)
         lock_cap_a = np.zeros(J)
 
-        view = self.view(run_idx)
-        base_sol, base_mults = view.chip_phase(np.zeros(len(view)))
-        ipc_sum = view.thread_ipc_sum(base_sol)
-
         # Per-run sync profile evaluation (a few dataclass method calls
         # per run; everything else is whole-array).
         syncs = [self.specs[j].sync for j in run_idx.tolist()]
         ns = [self.ns[j] for j in run_idx.tolist()]
-        holder_rate = (ipc_sum / self.run_n[run_idx]) * self.freq
         runnable_a[run_idx] = [s.runnable_fraction(n) for s, n in zip(syncs, ns)]
         blocked_a[run_idx] = [s.blocked_fraction(n) for s, n in zip(syncs, ns)]
         spin0_a[run_idx] = [s.spin_fraction(n) for s, n in zip(syncs, ns)]
+
+        # The base phase and the first spin iteration (blended at spin0)
+        # share one bisection: a run enters the spin loop iff it spins
+        # or holds a contended lock, which its profile tells before the
+        # base solve.  Every run's bracket, rows and reduceat segment are
+        # its own, so appending the predicted loop runs changes nothing
+        # for the others.
+        predicted = (spin0_a[run_idx] != 0.0) | np.array(
+            [s.lock_serial_fraction > 0.0 for s in syncs], dtype=bool
+        )
+        pred_idx = run_idx[predicted]
+        nb = len(run_idx)
+        view = self.view(np.concatenate((run_idx, pred_idx)))
+        sol, mults = view.chip_phase(
+            np.concatenate((np.zeros(nb), spin0_a[pred_idx]))
+        )
+        ipc_all = view.thread_ipc_sum(sol)
+        rb = view.seg[nb] if len(pred_idx) else len(view.rows)
+        base_sol, first_sol = sol.split(rb, nb)
+        base_mults, ipc_sum = mults[:nb], ipc_all[:nb]
+        first = (first_sol, mults[nb:], ipc_all[nb:])
+
+        holder_rate = (ipc_sum / self.run_n[run_idx]) * self.freq
         lock_cap_a[run_idx] = [
             s.lock_throughput_cap(h, n)
             for s, h, n in zip(syncs, holder_rate.tolist(), ns)
@@ -530,8 +558,8 @@ class ScenarioTable:
 
         # Scatter the base solution into the reported rows (overwritten
         # below for runs that enter the spin loop).
-        x_rows[view.rows] = base_sol.x
-        held_rows[view.rows] = base_sol.held
+        x_rows[view.rows[:rb]] = base_sol.x
+        held_rows[view.rows[:rb]] = base_sol.held
 
         tracer = get_tracer()
         if tracer.enabled:
@@ -545,12 +573,19 @@ class ScenarioTable:
             spin0 = spin0_a[loop_idx]
             runnable = runnable_a[loop_idx]
             lock_cap = lock_cap_a[loop_idx]
-            sol = None
-            mults = None
+            # A lock cap that overflows to inf makes a predicted run
+            # sync-free after all; then iteration 1 is solved afresh.
+            if not np.array_equal(loop_idx, pred_idx):
+                first = None
             for _ in range(SPIN_ITERATIONS):
                 blend_w = spins
-                sol, mults = lview.chip_phase(blend_w)
-                raw_rate = lview.thread_ipc_sum(sol) * self.freq
+                if first is None:
+                    sol, mults = lview.chip_phase(blend_w)
+                    ipc = lview.thread_ipc_sum(sol)
+                else:
+                    sol, mults, ipc = first
+                    first = None
+                raw_rate = ipc * self.freq
                 available = raw_rate * runnable
                 useful = np.minimum(available * (1.0 - spin0), lock_cap)
                 spins = np.minimum(MAX_SPIN, 1.0 - useful / available)
@@ -587,11 +622,11 @@ class ScenarioTable:
         """Vectorized time accounting, jitter, and counters.
 
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
-        ``run_idx`` at once: the only per-run Python work is the seeded
-        RNG stream of each noisy run (one ``standard_normal`` block,
+        ``run_idx`` at once.  Noise comes from one seeded RNG stream
+        per distinct stream key (one ``standard_normal`` block,
         replicating the scalar draw order bit-for-bit; the streams are
-        seeded in one batch) and the result dataclasses, built from
-        ``tolist()`` rows.
+        seeded in one batch); the only per-run Python work is the result
+        dataclasses, built from ``tolist()`` rows.
         """
         if run_idx is None:
             run_idx = np.arange(self.n_runs)
@@ -629,21 +664,28 @@ class ScenarioTable:
         # Wall/CPU jitter (mirrors _jitter_times); the draws come from
         # one block per noisy run, whose tail jitters the counters.
         # Noise-free runs get factors of exactly 1 and keep their times.
+        # Runs with equal (seed, level, threads) share a stream key, so
+        # each distinct key is seeded and drawn once (a sweep gives every
+        # run one seed: p7's 84 noisy runs read 3 blocks).
         noise = self.run_noise[run_idx]
         noisy = noise > 0
-        z_head = np.zeros((m, 2))
-        z_blocks: List[np.ndarray] = []
         noisy_pos = np.flatnonzero(noisy).tolist()
-        streams = [
-            RngStream(specs[pos].seed, ("run", arch.name, specs[pos].smt_level, ns[pos]))
+        key_pos: Dict[Tuple[int, int, int], int] = {}
+        run_key = [
+            key_pos.setdefault((specs[pos].seed, specs[pos].smt_level, ns[pos]), len(key_pos))
             for pos in noisy_pos
         ]
+        streams = [RngStream(seed, ("run", arch.name, level, nk))
+                   for seed, level, nk in key_pos]
         seed_streams(streams)
-        for pos, rng in zip(noisy_pos, streams):
-            z = rng.gen.standard_normal(2 + ns[pos] * E)
-            z_head[pos] = z[:2]
-            z_blocks.append(z[2:])
+        blocks = [rng.gen.standard_normal(2 + nk * E)
+                  for rng, (_, _, nk) in zip(streams, key_pos)]
         del streams  # their generators would otherwise live through the peak below
+        z_head = np.zeros((m, 2))
+        if blocks:
+            z_head[noisy_pos] = np.array([block[:2] for block in blocks])[run_key]
+            z_tail = np.concatenate([blocks[k][2:] for k in run_key])
+        del blocks
         wall_factor = np.maximum(0.5, 1.0 + noise * z_head[:, 0])
         cpu_factor = np.maximum(0.5, 1.0 + (noise * 0.5) * z_head[:, 1])
         total_cpu = np.where(noisy, np.minimum(
@@ -688,8 +730,8 @@ class ScenarioTable:
         # Counter jitter: one factor per (context, event), drawn in the
         # scalar per-context order; noise-free runs multiply by exactly 1.
         Z = np.zeros((len(ctx_sel), E))
-        if z_blocks:
-            Z[noisy[ctx_run]] = np.concatenate(z_blocks).reshape(-1, E)
+        if noisy_pos:
+            Z[noisy[ctx_run]] = z_tail.reshape(-1, E)
         factors = np.maximum(0.05, 1.0 + noise[ctx_run][:, None] * Z)
         V = V * factors
         sums = np.add.reduceat(V, ctx_seg, axis=0)            # (m, E)

@@ -7,6 +7,7 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 import repro.sim.table as table_mod
+from repro.check.differential import REL_TOL, compare_runs
 from repro.experiments.runner import (
     run_catalog,
     scatter_from_runs,
@@ -167,6 +168,34 @@ class TestPartialFailures:
         with pytest.raises(ValueError, match="no complete workloads"):
             scatter_from_runs(runs, title="t", measure_level=4,
                               high_level=4, low_level=1, names=["Equake"])
+
+    def test_batch_salvage_is_counted(self, monkeypatch):
+        from repro.obs import configure
+
+        specs = all_workloads()
+        subset = {n: specs[n] for n in ("EP", "Equake", "SPECjbb_contention")}
+        expected = run_catalog(p7_system(), subset, (1, 4), seed=5,
+                               use_cache=False)
+
+        def batch_dies(run_specs):
+            raise RuntimeError("injected batch failure")
+
+        monkeypatch.setattr(table_mod, "simulate_many_columnar", batch_dies)
+        tracer = configure(enabled=True)
+        tracer.reset()
+        try:
+            runs = run_catalog(p7_system(), subset, (1, 4), seed=5,
+                               use_cache=False)
+            counters = tracer.counters()
+        finally:
+            configure(enabled=False)
+            tracer.reset()
+        assert counters.get("runner.batch_salvaged") == 1
+        assert "runner.failed_runs" not in counters
+        assert not runs.failures
+        for name, by_level in expected.runs.items():
+            for level, result in by_level.items():
+                assert not compare_runs(result, runs.runs[name][level], REL_TOL)
 
     def test_failure_counter_increments(self, broken_equake):
         from repro.obs import configure

@@ -33,17 +33,19 @@ WORKLOADS = ("EP", "CG", "SSCA2", "Swim", "Dedup", "Equake", "Stream", "LU")
 def _occupy_dispatcher(client: ServeClient) -> str:
     """Fill the single dispatch slot *and* the queue_size=1 queue.
 
-    Sweep A (the full default catalog, serial, cold cache — seconds of
-    work) is sent and given time to be collected (the collector pops it
-    immediately and blocks on the executor until it finishes); then
-    sweep B parks in the admission queue.  From that point every further
+    Sweep A (the full default catalog, serial, cold cache — ~0.3 s of
+    work on a 2-core host) is sent and given a moment to be collected
+    (the collector pops it immediately and blocks on the executor until
+    it finishes); then sweep B parks in the admission queue.  The pause
+    must stay well below A's run time, or A is done before the requests
+    that should bounce arrive.  From that point every further
     request must bounce with ``overloaded`` — deterministically, for as
     long as A keeps the worker busy.  Returns A's request id.
     """
     slow_id = client._send(
         "sweep", {"levels": [1, 2, 4], "strategy": "serial"}, None,
     )
-    time.sleep(0.3)          # let the collector take A off the queue
+    time.sleep(0.05)         # let the collector take A off the queue
     client._send(
         "sweep", {"workloads": ["EP"], "levels": [1], "strategy": "serial"},
         None,
