@@ -7,9 +7,7 @@ loop of concurrent clients issuing ``predict`` requests.  Every request
 carries a distinct seed and the server session runs with the run cache
 off, so each request costs a real simulation: the measured difference
 is purely the coalescing win (one columnar ``ScenarioTable`` solve per
-batch instead of one per request).  A third batched phase runs the
-session in surrogate mode (``session={"surrogate": True}``), where the
-calibrated fast path answers in-bound rows without the full solver.
+batch instead of one per request).
 
 Telemetry (``repro.obs``) is read in-process after each phase so the
 achieved mean batch size is *measured*, not assumed.
@@ -147,11 +145,6 @@ def batched_config():
     return ServeConfig(max_batch=32, max_linger_ms=4.0, session=SESSION)
 
 
-def surrogate_config():
-    return ServeConfig(max_batch=32, max_linger_ms=4.0,
-                       session={**SESSION, "surrogate": True})
-
-
 def unbatched_config():
     return ServeConfig(max_batch=1, max_linger_ms=0.0, session=SESSION)
 
@@ -172,19 +165,10 @@ def main(argv=None):
                         help="output path (default: <repo>/BENCH_serve.json)")
     args = parser.parse_args(argv)
 
-    # Fit/load the surrogate models before any timed phase: calibration
-    # is an offline step and must not be billed to the first batch.
-    from repro.experiments.systems import p7_system
-    from repro.sim.surrogate import get_surrogate
-
-    system = p7_system()
-    get_surrogate(system.arch, system.n_chips)
-
     phases = {}
     for label, config, clients in (
         ("single_client_batched", batched_config(), 1),
         ("batched_16_clients", batched_config(), 16),
-        ("surrogate_16_clients", surrogate_config(), 16),
         ("unbatched_16_clients", unbatched_config(), 16),
     ):
         phases[label] = run_phase(config, clients, args.requests)
@@ -196,9 +180,6 @@ def main(argv=None):
     speedup = (phases["batched_16_clients"]["requests_per_s"]
                / phases["unbatched_16_clients"]["requests_per_s"])
     print(f"batched vs unbatched @16 clients: {speedup:.2f}x")
-    surrogate_gain = (phases["surrogate_16_clients"]["requests_per_s"]
-                      / phases["batched_16_clients"]["requests_per_s"])
-    print(f"surrogate vs batched  @16 clients: {surrogate_gain:.2f}x")
 
     # -- worker-scaling sweep (mixed-key traffic) ----------------------
     cores = usable_cores()
@@ -248,7 +229,6 @@ def main(argv=None):
         "requests_per_client": args.requests,
         "phases": phases,
         "speedup_batched_vs_unbatched_16_clients": speedup,
-        "speedup_surrogate_vs_batched_16_clients": surrogate_gain,
     }
     if worker_scaling is not None:
         payload["worker_scaling"] = worker_scaling

@@ -1,17 +1,13 @@
 """Benchmark the full catalog sweep across every execution strategy.
 
 Times the complete POWER7 (28 workloads x SMT1/2/4) plus Nehalem
-(22 workloads x SMT1/2) sweeps through five paths:
+(22 workloads x SMT1/2) sweeps through four paths:
 
 * ``scalar``    — the reference engine, one ``simulate_run`` per spec;
 * ``batched``   — ``run_catalog(strategy="batched")``, the legacy
   vectorized engine, cache disabled (cold);
 * ``columnar``  — ``run_catalog(strategy="columnar")``: the whole sweep
   lowered into one ``ScenarioTable`` per architecture, cache disabled;
-* ``surrogate`` — ``run_catalog(strategy="surrogate")``: the calibrated
-  fast path answers in-bound scenarios directly, the rest fall back to
-  the table solver (models are fit/loaded untimed first — calibration
-  is an offline step);
 * ``cached``    — the columnar strategy against a freshly populated
   run cache (warm rerun; no simulation at all).
 
@@ -23,7 +19,7 @@ and none a miss, or the warm speedup is mislabelled.
 Writes ``BENCH_sweep.json`` at the repo root with per-phase wall times,
 per-scenario latencies (seconds / n_runs), the headline speedups
 (each strategy vs scalar), and the telemetry-verified warm-cache hit
-and surrogate hit counts.
+counts.
 
     PYTHONPATH=src python scripts/bench_sweep.py [--repeats N]
 """
@@ -62,8 +58,7 @@ def sweeps():
 
 def reset_memo_state():
     # The serial-rate memo survives across calls; clear it so every
-    # timed phase starts from the same cold state.  Surrogate models
-    # are deliberately NOT cleared: calibration is an offline step.
+    # timed phase starts from the same cold state.
     engine._SERIAL_RATE_CACHE.clear()
 
 
@@ -116,22 +111,6 @@ def main(argv=None):
     columnar_s = timed(lambda: run_strategy("columnar"), args.repeats)
     report("columnar table (cold):", columnar_s, scalar_s)
 
-    # Fit/load the surrogate models untimed, then time steady-state use.
-    run_strategy("surrogate")
-    tracer = configure(enabled=True)
-    tracer.reset()
-    reset_memo_state()
-    run_strategy("surrogate")
-    surrogate_counters = tracer.counters()
-    configure(enabled=False)
-    tracer.reset()
-    surrogate_s = timed(lambda: run_strategy("surrogate"), args.repeats)
-    sur_hits = int(surrogate_counters.get("surrogate.hits", 0))
-    sur_falls = int(surrogate_counters.get("surrogate.fallbacks", 0))
-    report("surrogate (steady):", surrogate_s, scalar_s)
-    print(f"{'':22}surrogate answered {sur_hits}/{sur_hits + sur_falls} "
-          f"runs directly")
-
     with tempfile.TemporaryDirectory() as tmp:
         cache = RunCache(Path(tmp))
         reset_memo_state()
@@ -164,7 +143,6 @@ def main(argv=None):
         "scalar": scalar_s,
         "batched_cold": batched_s,
         "columnar_cold": columnar_s,
-        "surrogate": surrogate_s,
         "batched_cache_fill": populate_s,
         "warm_cache": warm_s,
     }
@@ -176,13 +154,7 @@ def main(argv=None):
         "speedup": {
             "batched_vs_scalar": scalar_s / batched_s,
             "columnar_vs_scalar": scalar_s / columnar_s,
-            "surrogate_vs_scalar": scalar_s / surrogate_s,
             "warm_cache_vs_scalar": scalar_s / warm_s,
-        },
-        "surrogate_telemetry": {
-            "hits": sur_hits,
-            "fallbacks": sur_falls,
-            "hit_rate": sur_hits / max(sur_hits + sur_falls, 1),
         },
         "warm_cache_telemetry": {
             "hits": hits,

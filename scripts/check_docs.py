@@ -40,7 +40,6 @@ PUBLIC_MODULES = (
     "repro.faults",
     "repro.check",
     "repro.sim.table",
-    "repro.sim.surrogate",
     "repro.fleet",
 )
 

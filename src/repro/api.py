@@ -19,10 +19,7 @@ run cache, threshold) and amortizes it across calls: the fitted
 per-architecture predictor and the underlying run cache are reused, and
 :meth:`Session.predict_many` pushes any number of concurrent queries
 through one columnar :class:`repro.sim.table.ScenarioTable` solve —
-the entry point the service's micro-batcher dispatches to.  Sessions
-built with ``surrogate=True`` route that batch through the calibrated
-:mod:`repro.sim.surrogate` fast path instead, falling back to the full
-solver for out-of-calibration rows.
+the entry point the service's micro-batcher dispatches to.
 
 Everything here is re-exported at top level (``from repro import
 Session, predict, ...``); ``docs/api.md`` documents this surface and
@@ -166,7 +163,6 @@ class Session:
         use_cache: Optional[bool] = None,
         threshold: Optional[float] = None,
         threshold_method: str = "gini",
-        surrogate: bool = False,
     ):
         self.system = resolve_system(arch, n_chips)
         self.seed = seed
@@ -177,7 +173,6 @@ class Session:
         self._cache = RunCache() if self.use_cache else None
         self.threshold = threshold
         self.threshold_method = threshold_method
-        self.surrogate = bool(surrogate)
         self._predictors: Dict[Tuple[int, int, int], SmtPredictor] = {}
         self._fit_runs: Optional[CatalogRuns] = None
 
@@ -251,7 +246,7 @@ class Session:
         dispatches to: all measurement runs go through one
         :func:`~repro.experiments.runner.solve_specs` call (one columnar
         :class:`~repro.sim.table.ScenarioTable` solve for the cache
-        misses, or the surrogate path), then are scored and thresholded
+        misses), then are scored and thresholded
         individually.  A failed run re-raises its own exception.
         """
         parsed: List[PredictQuery] = [
@@ -273,11 +268,7 @@ class Session:
                     useful_instructions=self.work,
                     seed=q.seed if q.seed is not None else self.seed,
                 ))
-            results = solve_specs(
-                specs,
-                strategy=Strategy.SURROGATE if self.surrogate else DEFAULT_STRATEGY,
-                cache=self._cache,
-            ).or_raise()
+            results = solve_specs(specs, cache=self._cache).or_raise()
             predictions = []
             for q, run_spec, result in zip(parsed, specs, results):
                 metric = smtsm_from_run(result)
@@ -395,20 +386,17 @@ def get_session(
     use_cache: Optional[bool] = None,
     threshold: Optional[float] = None,
     threshold_method: str = "gini",
-    surrogate: bool = False,
 ) -> Session:
     """A shared :class:`Session` for this configuration (created once)."""
     key = (
         arch if isinstance(arch, str) else (arch.arch.name, arch.n_chips),
         n_chips, seed, work, use_cache, threshold, threshold_method,
-        surrogate,
     )
     session = _SESSIONS.get(key)
     if session is None:
         session = _SESSIONS[key] = Session(
             arch, n_chips=n_chips, seed=seed, work=work, use_cache=use_cache,
             threshold=threshold, threshold_method=threshold_method,
-            surrogate=surrogate,
         )
     return session
 

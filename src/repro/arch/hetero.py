@@ -5,16 +5,15 @@ each described by a full :class:`~repro.arch.machine.Architecture` with
 its own SMT ceiling, port topology, and cache geometry — into one chip,
 in the style of big.LITTLE designs and lumos's heterogeneous MPSoC
 models.  Two modelling decisions keep the whole existing simulator
-stack (chip solver, columnar engine, surrogate, fleet) valid per
+stack (chip solver, columnar engine, fleet) valid per
 cluster:
 
 * **Clusters are Architectures.**  Each cluster is an ordinary
   :class:`Architecture` instance whose ``cores_per_chip`` is the
-  cluster's core count, so ``solve_chip``/``ScenarioTable``/the
-  surrogate operate on a cluster exactly as they do on a homogeneous
-  chip.  The per-cluster ``(arch, level)`` spaces the scheduler and
-  threshold machinery reason over fall out of
-  :meth:`HeteroChip.level_space`.
+  cluster's core count, so ``solve_chip`` and ``ScenarioTable``
+  operate on a cluster exactly as they do on a homogeneous chip.  The
+  per-cluster ``(arch, level)`` spaces the scheduler and threshold
+  machinery reason over fall out of :meth:`HeteroChip.level_space`.
 * **Memory bandwidth is QoS-partitioned.**  The chip's DRAM bandwidth
   is split between clusters by a static ``bandwidth_share`` (the
   memory-controller QoS partition found on server SoCs), so each

@@ -20,10 +20,10 @@ _BUILDERS: Dict[str, Callable[[], Architecture]] = {
 }
 
 #: One built instance per registered name, with the builder that made
-#: it.  The solver's memos (serial rates, cache-key fingerprints,
-#: surrogate models) are keyed by ``id(arch)``, so handing every lookup
-#: the same frozen instance lets them hit across sessions instead of
-#: growing by one entry set per lookup.
+#: it.  The solver's memos (serial rates, cache-key fingerprints) are
+#: keyed by ``id(arch)``, so handing every lookup the same frozen
+#: instance lets them hit across sessions instead of growing by one
+#: entry set per lookup.
 _INSTANCES: Dict[str, Tuple[Callable[[], Architecture], Architecture]] = {}
 
 

@@ -5,8 +5,8 @@ Four pillars, one verdict (see ``docs/testing.md``):
 * :mod:`repro.check.invariants` — simulator physics laws evaluated
   over every run a sweep produces (and re-solved chip internals);
 * :mod:`repro.check.differential` — the serial reference vs every
-  fast path (batched, columnar, surrogate, run cache, batched
-  prediction), with ddmin minimization of any diverging batch;
+  fast path (batched, columnar, run cache, batched prediction), with
+  ddmin minimization of any diverging batch;
 * :mod:`repro.check.goldens` — tolerance-aware, content-addressed
   snapshots of the paper figures' summary statistics;
 * :mod:`repro.check.fuzz` — a seeded protocol fuzzer holding the

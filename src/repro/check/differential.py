@@ -1,14 +1,11 @@
 """Differential testing: every fast path must match the reference path.
 
 The repository keeps several ways to execute a sweep
-(``run_catalog(strategy="columnar"|"surrogate"|"batched"|"serial")``),
-a persistent run cache, and a batched prediction facade — the exact
-paths are documented as "semantically equivalent to floating-point
-round-off" and the surrogate as "within its calibrated error bound or
-not at all".  This pillar *executes* those claims
-McKeeman-style: run identical scenario sets down every path, compare
-field by field at :data:`REL_TOL` (exact paths) or
-:data:`SURROGATE_REL_TOL` (surrogate-accepted rows), and when a
+(``run_catalog(strategy="columnar"|"batched"|"serial")``), a
+persistent run cache, and a batched prediction facade, all documented
+as "semantically equivalent to floating-point round-off".  This pillar
+*executes* that claim McKeeman-style: run identical scenario sets down
+every path, compare field by field at :data:`REL_TOL`, and when a
 divergence appears, shrink the batch with a ddmin-style minimizer so
 the report carries the smallest scenario set that still reproduces it
 (batched solvers can diverge only in the *company* of other scenarios —
@@ -31,11 +28,6 @@ from repro.sim.runcache import RunCache
 
 #: The documented equivalence bound for the fast paths.
 REL_TOL = 1e-9
-
-#: The documented error bound for surrogate-accepted answers.  Rows the
-#: surrogate refuses (leverage or residual reject) fall back to the full
-#: columnar solver and are held to :data:`REL_TOL` instead.
-SURROGATE_REL_TOL = 1e-2
 
 #: Default scenario set: a CPU-bound kernel, an irregular memory-bound
 #: graph code, a bandwidth-hungry streaming code, and a lock-contended
@@ -164,11 +156,6 @@ def run_differential_checks(
     * the columnar :class:`~repro.sim.table.ScenarioTable` engine
       (``simulate_many_columnar``) — with ddmin batch minimization on
       divergence;
-    * the calibrated surrogate fast path
-      (``simulate_many_surrogate``) — accepted rows held to
-      :data:`SURROGATE_REL_TOL`, fallback rows to ``rel_tol``, and the
-      surrogate must accept at least one scenario of the set (a model
-      that always falls back silently loses the fast path);
     * a cold-vs-warm run-cache round trip (persisted payloads must
       reconstruct the result exactly);
     * ``Session.predict`` vs ``Session.predict_many`` over the same
@@ -236,40 +223,6 @@ def run_differential_checks(
                     },
                 ))
 
-        # -- surrogate vs solver ----------------------------------------
-        from repro.sim.surrogate import simulate_many_surrogate
-
-        surrogate, accepted = simulate_many_surrogate(specs)
-        checks_run += 1
-        if not any(accepted):
-            violations.append(Violation(
-                pillar="differential", check="surrogate_vs_solver",
-                subject="(whole batch)",
-                message=("surrogate accepted no scenario of the default "
-                         "set — the fast path never engages"),
-                details={"accepted": 0, "scenarios": len(specs),
-                         "minimized_scenarios": list(labels)},
-            ))
-        for i, (ref, got, hit) in enumerate(zip(reference, surrogate,
-                                                accepted)):
-            checks_run += 1
-            bound = SURROGATE_REL_TOL if hit else rel_tol
-            diffs = compare_runs(ref, got, bound)
-            if diffs:
-                field, err = max(diffs, key=lambda d: d[1])
-                path = "accepted answer" if hit else "solver fallback"
-                violations.append(Violation(
-                    pillar="differential", check="surrogate_vs_solver",
-                    subject=labels[i],
-                    message=(f"surrogate {path} diverges from the serial "
-                             f"reference on {field} (rel {err:.3e}, bound "
-                             f"{bound:.0e})"),
-                    details={"field": field, "rel_error": err,
-                             "rel_tol": bound, "accepted": hit,
-                             "all_fields": dict(diffs),
-                             "minimized_scenarios": [labels[i]]},
-                ))
-
         # -- cold vs warm run cache -------------------------------------
         with tempfile.TemporaryDirectory(prefix="repro-check-cache-") as tmp:
             cache = RunCache(tmp)
@@ -329,9 +282,7 @@ def run_differential_checks(
         checks_run=checks_run,
         subjects=len(specs),
         violations=tuple(violations),
-        stats={"scenarios": list(labels), "rel_tol": rel_tol,
-               "surrogate_rel_tol": SURROGATE_REL_TOL,
-               "surrogate_accepted": int(sum(accepted))},
+        stats={"scenarios": list(labels), "rel_tol": rel_tol},
     )
 
 

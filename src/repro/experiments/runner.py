@@ -14,8 +14,8 @@ for the speedup.
 (``run_catalog``, :mod:`repro.api`, ``repro run``, the hetero
 decomposition and the fleet perf model): run-cache lookup, dispatch on
 a :class:`Strategy` -- the columnar scenario-table engine (default),
-the calibrated surrogate fast path, the legacy vectorized batch engine,
-or the scalar reference loop -- per-run salvage, and write-back.
+the legacy vectorized batch engine, or the scalar reference loop --
+per-run salvage, and write-back.
 :data:`DEFAULT_STRATEGY` is the one default every public entry point
 shares.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "DEFAULT_WORK",  # re-exported; the engine owns the single definition
     "CatalogRuns",
     "DEFAULT_STRATEGY",
-    "STRATEGIES",
     "Strategy",
     "resolve_system",
     "run_catalog",
@@ -60,16 +59,12 @@ class Strategy(ValidatedStrEnum):
     "columnar"``), so both the typed constants and the historical bare
     strings are valid everywhere a ``strategy=`` parameter appears; a
     typo raises a ``ValueError`` listing the valid options.  All give
-    the same answers (to round-off; the surrogate to its verified
-    error bound).
+    the same answers to round-off.
     """
 
     #: The batch as one :class:`repro.sim.table.ScenarioTable` per
     #: architecture, solved with whole-table numpy ops (the default).
     COLUMNAR = "columnar"
-    #: :mod:`repro.sim.surrogate` warm starts answer confident runs;
-    #: the rest fall back to the columnar solver.
-    SURROGATE = "surrogate"
     #: The legacy per-scenario lockstep, :func:`simulate_many`.
     BATCHED = "batched"
     #: The scalar reference: one :func:`simulate_run` per spec, each in
@@ -77,13 +72,10 @@ class Strategy(ValidatedStrEnum):
     SERIAL = "serial"
 
 
-#: The strategies as plain literals (kept for existing callers).
-STRATEGIES = Strategy.options()
-
 #: The strategy every public entry point runs unless told otherwise:
-#: ``run_catalog``, ``Session.sweep``/``predict_many`` (without
-#: ``surrogate=True``), ``api.sweep``, ``repro run``, the serve ops,
-#: ``ServeClient.sweep`` and the fleet perf model.
+#: ``run_catalog``, ``Session.sweep``/``predict_many``, ``api.sweep``,
+#: ``repro run``, the serve ops, ``ServeClient.sweep`` and the fleet
+#: perf model.
 DEFAULT_STRATEGY = Strategy.COLUMNAR
 
 #: Named systems accepted wherever a :class:`SystemSpec` is expected:
@@ -315,8 +307,7 @@ def solve_specs(
     cache rule, the engine choice and the failure policy live once:
 
     * with a ``cache``, hits skip simulation (a ``cache_lookup`` span)
-      and solved runs are written back, except surrogate-accepted
-      answers: they are approximate, the cache stores exact output;
+      and solved runs are written back;
     * misses go to the ``strategy``'s engine in a ``simulate`` span
       (serial: a nested ``run`` span per spec, ``workload`` from
       ``names``);
@@ -351,7 +342,6 @@ def solve_specs(
     if missing:
         with tracer.span("simulate", runs=len(missing)):
             todo = [specs[i] for i in missing]
-            approximate: Sequence[bool] = [False] * len(todo)
             if strategy is Strategy.SERIAL:
                 fresh = []
                 for i in missing:
@@ -360,11 +350,7 @@ def solve_specs(
                         fresh.append(salvage(i))
             else:
                 try:
-                    if strategy is Strategy.SURROGATE:
-                        from repro.sim.surrogate import simulate_many_surrogate
-
-                        fresh, approximate = simulate_many_surrogate(todo)
-                    elif strategy is Strategy.COLUMNAR:
+                    if strategy is Strategy.COLUMNAR:
                         from repro.sim.table import simulate_many_columnar
 
                         fresh = simulate_many_columnar(todo)
@@ -374,9 +360,9 @@ def solve_specs(
                     # One bad spec must not sink the batch.
                     tracer.add("runner.batch_salvaged")
                     fresh = [salvage(i) for i in missing]
-            for i, result, skip in zip(missing, fresh, approximate):
+            for i, result in zip(missing, fresh):
                 results[i] = result
-                if cache is not None and result is not None and not skip:
+                if cache is not None and result is not None:
                     cache.put(specs[i], result)
     return Solved(results, errors, len(specs) - len(missing))
 

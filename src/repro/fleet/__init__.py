@@ -13,7 +13,7 @@ Layout::
 
     config     FleetConfig (+ REPRO_FLEET_* env overrides), arch-mix spec
     trace      Job + the seeded synthetic arrival-trace generator
-    perfmodel  one columnar/surrogate mega-batch -> per-(arch, workload,
+    perfmodel  one columnar mega-batch -> per-(arch, workload,
                level) reference runs, fitted predictors, online meters
     node       Node: queue, SMT level, meter and fault state of one chip
     policy     Policy enum + PlacementPolicy protocol + implementations

@@ -4,7 +4,7 @@
 
 1. expands the arch-mix spec into one node per chip;
 2. solves the whole ``arch x workload x level`` space in **one**
-   columnar/surrogate mega-batch (:mod:`repro.fleet.perfmodel`) — the
+   columnar mega-batch (:mod:`repro.fleet.perfmodel`) — the
    event loop itself never touches the chip solver, which is what
    keeps a 1000-chip x 100k-job run tractable;
 3. calibrates the arrival rate to ``load x`` the fleet's max-level

@@ -43,11 +43,13 @@ tests, benchmarks and the CI smoke job.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
+import repro.api as api
 from repro.faults.chaos import ENV_SERVE_CHAOS, ChaosConfig
 from repro.faults.retry import RetryPolicy
 from repro.obs import get_tracer
@@ -75,6 +77,13 @@ from repro.serve.workers import (
     dispatch_batch,
 )
 from repro.util.config import dataclass_from_env
+
+#: The keys ``ServeConfig.session`` may set: every parameter of
+#: :func:`repro.api.get_session` except the per-request ``arch`` and
+#: ``n_chips``, which the handlers pass themselves.
+_SESSION_KEYS = frozenset(inspect.signature(api.get_session).parameters) - {
+    "arch", "n_chips",
+}
 
 __all__ = ["ServeConfig", "PredictionServer", "BackgroundServer"]
 
@@ -131,6 +140,12 @@ class ServeConfig:
     session: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        unknown = sorted(set(self.session) - _SESSION_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown session key(s) {', '.join(map(repr, unknown))}; "
+                f"valid keys: {', '.join(sorted(_SESSION_KEYS))}"
+            )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_linger_ms < 0:

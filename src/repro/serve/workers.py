@@ -20,7 +20,7 @@ Three properties the pool preserves:
 * **Affinity routing.**  A batch key is pinned to a preferred worker
   the first time it is seen (round-robin over workers), so repeated
   traffic for one system keeps hitting that worker's warm session
-  (fitted thresholds, surrogate models, serial-rate memo).  When the
+  (fitted thresholds, serial-rate memo).  When the
   preferred worker is busy and another is strictly less loaded, the
   group *spills* to the least-loaded worker (``serve.worker.spills``) —
   hot single-key traffic pipelines across the pool instead of queueing

@@ -25,10 +25,10 @@ operation, so results agree with :func:`repro.sim.engine.simulate_run`
 to floating-point round-off (the differential pillar pins <= 1e-9
 relative error).
 
-The table also exposes its converged fixed-point *state*
-(:class:`TableState`) so the calibrated surrogate
-(:mod:`repro.sim.surrogate`) can train on solver outputs and re-enter
-the shared finalization path when it answers a query directly.
+:meth:`ScenarioTable.drive` hands its converged fixed point to
+:meth:`ScenarioTable.finalize` as a :class:`TableState`: the reported
+per-row solution and the per-run quantities time accounting, jitter
+and the counters read.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ class TableState:
     Per-core-row arrays hold the *reported* solution (the base solve for
     sync-free runs, the last spin iteration otherwise); per-run arrays
     hold the converged bandwidth multiplier, traffic, and spin state.
-    ``base_mult``/``base_traffic`` record the sync-free base phase — the
-    surrogate's training labels.
     """
 
     x_rows: np.ndarray            # (R,) per-thread IPC of the reported solution
@@ -76,15 +74,9 @@ class TableState:
     mult: np.ndarray              # (J,) converged memory-latency multiplier
     run_traffic: np.ndarray       # (J,) offered DRAM traffic, GB/s
     spin_final: np.ndarray        # (J,) reported spin fraction (after last update)
-    w_blend: np.ndarray           # (J,) blend weight of the reported solution
     useful_rate: np.ndarray       # (J,) useful instructions/s in the parallel phase
-    base_mult: np.ndarray         # (J,) base-phase multiplier (unblended mix)
-    base_traffic: np.ndarray      # (J,) base-phase traffic, GB/s
-    sync_free: np.ndarray         # (J,) bool
-    spin0: np.ndarray             # (J,) direct busy-wait fraction
     runnable: np.ndarray          # (J,)
     blocked: np.ndarray           # (J,)
-    lock_cap: np.ndarray          # (J,)
 
 
 class _Sol:
@@ -288,9 +280,7 @@ class ScenarioTable:
 
     All specs must share one :class:`Architecture` *instance* (group by
     ``id(arch)`` first — :func:`simulate_many_columnar` does).  Build
-    once, then :meth:`run` drives the full fixed point and finalization,
-    or :meth:`run_with_state` additionally returns the converged
-    :class:`TableState` for surrogate calibration.
+    once, then :meth:`run` drives the full fixed point and finalization.
     """
 
     def __init__(self, specs: Sequence[RunSpec]):
@@ -460,11 +450,6 @@ class ScenarioTable:
 
     # -- helpers -------------------------------------------------------
 
-    @classmethod
-    def from_specs(cls, specs: Sequence[RunSpec]) -> "ScenarioTable":
-        """Build a table from a scenario list (alias of the constructor)."""
-        return cls(specs)
-
     def __len__(self) -> int:
         return self.n_runs
 
@@ -484,40 +469,17 @@ class ScenarioTable:
 
     # -- the fixed-point driver ----------------------------------------
 
-    def drive(self, run_idx: Optional[np.ndarray] = None) -> TableState:
-        """Run the full solver fixed point for the selected runs.
-
-        Returns a :class:`TableState` whose per-row arrays are full-table
-        sized (rows outside ``run_idx`` are zero) and whose per-run
-        arrays are full-length (entries outside ``run_idx`` are zero).
-        """
-        if run_idx is None:
-            run_idx = np.arange(self.n_runs)
-        run_idx = np.asarray(run_idx, dtype=int)
+    def drive(self) -> TableState:
+        """Run the full solver fixed point for every run of the table."""
         J = self.n_runs
-
-        x_rows = np.zeros(self.n_rows)
-        held_rows = np.zeros(self.n_rows)
-        mult = np.zeros(J)
-        run_traffic = np.zeros(J)
-        spin_final = np.zeros(J)
-        w_blend = np.zeros(J)
-        useful_rate = np.zeros(J)
-        base_mult = np.zeros(J)
-        base_traffic = np.zeros(J)
-        sync_free = np.zeros(J, dtype=bool)
-        spin0_a = np.zeros(J)
-        runnable_a = np.zeros(J)
-        blocked_a = np.zeros(J)
-        lock_cap_a = np.zeros(J)
 
         # Per-run sync profile evaluation (a few dataclass method calls
         # per run; everything else is whole-array).
-        syncs = [self.specs[j].sync for j in run_idx.tolist()]
-        ns = [self.ns[j] for j in run_idx.tolist()]
-        runnable_a[run_idx] = [s.runnable_fraction(n) for s, n in zip(syncs, ns)]
-        blocked_a[run_idx] = [s.blocked_fraction(n) for s, n in zip(syncs, ns)]
-        spin0_a[run_idx] = [s.spin_fraction(n) for s, n in zip(syncs, ns)]
+        syncs = [spec.sync for spec in self.specs]
+        ns = self.ns
+        runnable_a = np.array([s.runnable_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        blocked_a = np.array([s.blocked_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        spin0_a = np.array([s.spin_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
 
         # The base phase and the first spin iteration (blended at spin0)
         # share one bisection: a run enters the spin loop iff it spins
@@ -525,45 +487,38 @@ class ScenarioTable:
         # base solve.  Every run's bracket, rows and reduceat segment are
         # its own, so appending the predicted loop runs changes nothing
         # for the others.
-        predicted = (spin0_a[run_idx] != 0.0) | np.array(
+        predicted = (spin0_a != 0.0) | np.array(
             [s.lock_serial_fraction > 0.0 for s in syncs], dtype=bool
         )
-        pred_idx = run_idx[predicted]
-        nb = len(run_idx)
-        view = self.view(np.concatenate((run_idx, pred_idx)))
-        sol, mults = view.chip_phase(
-            np.concatenate((np.zeros(nb), spin0_a[pred_idx]))
-        )
+        pred_idx = np.flatnonzero(predicted)
+        view = self.view(np.concatenate((np.arange(J), pred_idx)))
+        sol, mults = view.chip_phase(np.concatenate((np.zeros(J), spin0_a[pred_idx])))
         ipc_all = view.thread_ipc_sum(sol)
-        rb = view.seg[nb] if len(pred_idx) else len(view.rows)
-        base_sol, first_sol = sol.split(rb, nb)
-        base_mults, ipc_sum = mults[:nb], ipc_all[:nb]
-        first = (first_sol, mults[nb:], ipc_all[nb:])
+        # The base runs come first and cover every row of the table.
+        base_sol, first_sol = sol.split(self.n_rows, J)
+        ipc_sum = ipc_all[:J]
+        first = (first_sol, mults[J:], ipc_all[J:])
 
-        holder_rate = (ipc_sum / self.run_n[run_idx]) * self.freq
-        lock_cap_a[run_idx] = [
+        holder_rate = (ipc_sum / self.run_n) * self.freq
+        lock_cap_a = np.array([
             s.lock_throughput_cap(h, n)
             for s, h, n in zip(syncs, holder_rate.tolist(), ns)
-        ]
-        base_mult[run_idx] = base_mults
-        base_traffic[run_idx] = base_sol.run_traffic
-        spin_final[run_idx] = spin0_a[run_idx]
-        free = (spin0_a[run_idx] == 0.0) & np.isinf(lock_cap_a[run_idx])
-        sync_free[run_idx] = free
-        free_idx = run_idx[free]
-        useful_rate[free_idx] = ipc_sum[free] * self.freq * runnable_a[free_idx]
-        mult[free_idx] = base_mults[free]
-        run_traffic[free_idx] = base_sol.run_traffic[free]
-        loop_idx = run_idx[~free]     # w_blend stays 0 (= spin0) for free runs
+        ], dtype=float)
+        free = (spin0_a == 0.0) & np.isinf(lock_cap_a)
+        loop_idx = np.flatnonzero(~free)
 
-        # Scatter the base solution into the reported rows (overwritten
-        # below for runs that enter the spin loop).
-        x_rows[view.rows[:rb]] = base_sol.x
-        held_rows[view.rows[:rb]] = base_sol.held
+        # Report the base solution (overwritten below for runs that
+        # enter the spin loop).
+        x_rows = base_sol.x.copy()
+        held_rows = base_sol.held.copy()
+        mult = mults[:J].copy()
+        run_traffic = base_sol.run_traffic.copy()
+        spin_final = spin0_a.copy()
+        useful_rate = ipc_sum * self.freq * runnable_a
 
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.add("table.sync_free_runs", len(run_idx) - len(loop_idx))
+            tracer.add("table.sync_free_runs", J - len(loop_idx))
             if len(loop_idx):
                 tracer.add("table.spin_iterations", SPIN_ITERATIONS * len(loop_idx))
 
@@ -578,9 +533,8 @@ class ScenarioTable:
             if not np.array_equal(loop_idx, pred_idx):
                 first = None
             for _ in range(SPIN_ITERATIONS):
-                blend_w = spins
                 if first is None:
-                    sol, mults = lview.chip_phase(blend_w)
+                    sol, mults = lview.chip_phase(spins)
                     ipc = lview.thread_ipc_sum(sol)
                 else:
                     sol, mults, ipc = first
@@ -594,7 +548,6 @@ class ScenarioTable:
             mult[loop_idx] = mults
             run_traffic[loop_idx] = sol.run_traffic
             spin_final[loop_idx] = spins
-            w_blend[loop_idx] = blend_w
             useful_rate[loop_idx] = useful
 
         return TableState(
@@ -603,59 +556,44 @@ class ScenarioTable:
             mult=mult,
             run_traffic=run_traffic,
             spin_final=spin_final,
-            w_blend=w_blend,
             useful_rate=useful_rate,
-            base_mult=base_mult,
-            base_traffic=base_traffic,
-            sync_free=sync_free,
-            spin0=spin0_a,
             runnable=runnable_a,
             blocked=blocked_a,
-            lock_cap=lock_cap_a,
         )
 
     # -- finalization --------------------------------------------------
 
-    def finalize(
-        self, state: TableState, run_idx: Optional[np.ndarray] = None
-    ) -> List[RunResult]:
+    def finalize(self, state: TableState) -> List[RunResult]:
         """Vectorized time accounting, jitter, and counters.
 
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
-        ``run_idx`` at once.  Noise comes from one seeded RNG stream
+        the table at once.  Noise comes from one seeded RNG stream
         per distinct stream key (one ``standard_normal`` block,
         replicating the scalar draw order bit-for-bit; the streams are
         seeded in one batch); the only per-run Python work is the result
         dataclasses, built from ``tolist()`` rows.
         """
-        if run_idx is None:
-            run_idx = np.arange(self.n_runs)
-        run_idx = np.asarray(run_idx, dtype=int)
-        m = len(run_idx)
-        if m == 0:
-            return []
+        m = self.n_runs
         arch = self.arch
         E = self.n_events
-        specs = [self.specs[j] for j in run_idx.tolist()]
-        ns = [self.ns[j] for j in run_idx.tolist()]
-        n = self.run_n[run_idx]
+        specs = self.specs
+        ns = self.ns
+        n = self.run_n
 
         # Serial rates: one memo lookup per distinct stream.
-        stream_sel = self.run_stream[run_idx]
-        distinct = list(dict.fromkeys(stream_sel.tolist()))
-        _engine._warm_serial_rates(arch, [self.streams[s] for s in distinct])
-        rates = np.zeros(len(self.streams))
-        for s in distinct:
-            rates[s] = _engine._serial_rate(specs[0].system, self.streams[s])
+        _engine._warm_serial_rates(arch, self.streams)
+        rates = np.array([
+            _engine._serial_rate(specs[0].system, stream) for stream in self.streams
+        ], dtype=float)
 
-        runnable = state.runnable[run_idx]
+        runnable = state.runnable
         wall, serial_t, par_t, total_cpu = account_runs(
             useful_instructions=np.array([
                 spec.useful_instructions * spec.sync.work_inflation(nj)
                 for spec, nj in zip(specs, ns)
             ]),
-            parallel_useful_rate=state.useful_rate[run_idx],
-            serial_rate=rates[stream_sel],
+            parallel_useful_rate=state.useful_rate,
+            serial_rate=rates[self.run_stream],
             serial_fraction=np.array([spec.sync.serial_fraction for spec in specs]),
             runnable=runnable,
             n_threads=n,
@@ -667,7 +605,7 @@ class ScenarioTable:
         # Runs with equal (seed, level, threads) share a stream key, so
         # each distinct key is seeded and drawn once (a sweep gives every
         # run one seed: p7's 84 noisy runs read 3 blocks).
-        noise = self.run_noise[run_idx]
+        noise = self.run_noise
         noisy = noise > 0
         noisy_pos = np.flatnonzero(noisy).tolist()
         key_pos: Dict[Tuple[int, int, int], int] = {}
@@ -702,19 +640,19 @@ class ScenarioTable:
         ]
 
         # Final blended mix (reported spin) and derived port fractions.
-        run_mix = self.row_mix[self.run_row_start[run_idx]]   # a run's rows share it
-        bm = _spin_blend(run_mix, state.spin_final[run_idx])
+        run_mix = self.row_mix[self.run_row_start[:-1]]   # a run's rows share it
+        bm = _spin_blend(run_mix, state.spin_final)
         port_fracs = bm @ self.routing_t                      # (m, P)
         par_cycles = par_t * self.freq * runnable
 
-        # Flattened context axis over the selected runs.
-        ctx_sel, ctx_counts, ctx_seg = _segments(self.ctx_start, run_idx)
-        ctx_row = self.ctx_row[ctx_sel]
-        ctx_run = np.repeat(np.arange(m), ctx_counts)         # view-local
+        # Flattened context axis over every run.
+        ctx_row = self.ctx_row
+        ctx_seg = self.ctx_start[:-1]
+        ctx_run = np.repeat(np.arange(m), np.diff(self.ctx_start))
 
         cyc = par_cycles[ctx_run]
         instr = state.x_rows[ctx_row] * cyc
-        V = np.empty((len(ctx_sel), E))
+        V = np.empty((len(ctx_row), E))
         V[:, 0] = cyc
         V[:, 1] = instr
         V[:, 2] = state.held_rows[ctx_row] * cyc
@@ -729,7 +667,7 @@ class ScenarioTable:
 
         # Counter jitter: one factor per (context, event), drawn in the
         # scalar per-context order; noise-free runs multiply by exactly 1.
-        Z = np.zeros((len(ctx_sel), E))
+        Z = np.zeros((len(ctx_row), E))
         if noisy_pos:
             Z[noisy[ctx_run]] = z_tail.reshape(-1, E)
         factors = np.maximum(0.05, 1.0 + noise[ctx_run][:, None] * Z)
@@ -737,20 +675,20 @@ class ScenarioTable:
         sums = np.add.reduceat(V, ctx_seg, axis=0)            # (m, E)
 
         # Occupancy-weighted dispatch-held per run (mirrors np.average).
-        core_sel, _, core_seg = _segments(self.core_start, run_idx)
-        held_core = state.held_rows[self.core_row[core_sel]]
-        occ_core = self.core_occ[core_sel]
+        core_seg = self.core_start[:-1]
+        held_core = state.held_rows[self.core_row]
+        occ_core = self.core_occ
         mdh = (
             np.add.reduceat(held_core * occ_core, core_seg)
             / np.add.reduceat(occ_core, core_seg)
         )
 
-        cap = self.run_cap[run_idx]
-        mem_util = np.minimum(state.run_traffic[run_idx], cap) / cap
+        cap = self.run_cap
+        mem_util = np.minimum(state.run_traffic, cap) / cap
 
         names = self.event_names
         thread_ipc = state.x_rows[ctx_row].tolist()
-        bounds = np.concatenate((ctx_seg, [len(ctx_sel)])).tolist()
+        bounds = self.ctx_start.tolist()
         return [
             RunResult(
                 arch=arch,
@@ -770,22 +708,14 @@ class ScenarioTable:
             for pos, (spec, nj, times, events, spin, blocked, mult, util, held)
             in enumerate(zip(
                 specs, ns, times_list, sums.tolist(),
-                state.spin_final[run_idx].tolist(), state.blocked[run_idx].tolist(),
-                state.mult[run_idx].tolist(), mem_util.tolist(), mdh.tolist(),
+                state.spin_final.tolist(), state.blocked.tolist(),
+                state.mult.tolist(), mem_util.tolist(), mdh.tolist(),
             ))
         ]
 
-    def run(self, run_idx: Optional[np.ndarray] = None) -> List[RunResult]:
+    def run(self) -> List[RunResult]:
         """Drive the fixed point and finalize, columnar end to end."""
-        if run_idx is not None and len(run_idx) == 0:
-            return []
-        state = self.drive(run_idx)
-        return self.finalize(state, run_idx)
-
-    def run_with_state(self) -> Tuple[List[RunResult], TableState]:
-        """Like :meth:`run` over all runs, also returning the state."""
-        state = self.drive()
-        return self.finalize(state), state
+        return self.finalize(self.drive())
 
 
 def simulate_many_columnar(specs: Sequence[RunSpec]) -> List[RunResult]:

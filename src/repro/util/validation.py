@@ -49,9 +49,17 @@ def check_probability_vector(name: str, values: Iterable[float], *, atol: float 
     total = float(arr.sum())
     if abs(total - 1.0) > max(atol, 1e-9 * arr.size):
         raise ValueError(f"{name} must sum to 1 (got {total:.9f}): {arr.tolist()}")
-    # Renormalize exactly so downstream code can rely on sum == 1.
+    # Renormalize so downstream code can rely on sum == 1 up to round-off.
+    # A vector already within summation round-off of 1 is returned as is:
+    # dividing it again would move entries by an ulp, so validating an
+    # already-validated vector would not be idempotent (a Mix rebuilt from
+    # another Mix's vector would then hash differently while comparing
+    # equal).  One division leaves the sum within ``size * eps`` of 1.
     arr = np.clip(arr, 0.0, None)
-    return arr / arr.sum()
+    total = float(arr.sum())
+    if abs(total - 1.0) > arr.size * np.finfo(float).eps:
+        arr = arr / total
+    return arr
 
 
 def check_int_in(name: str, value: int, allowed: Iterable[int]) -> int:

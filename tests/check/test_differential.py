@@ -81,10 +81,9 @@ class TestCleanPaths:
         assert report.ok, [v.render() for v in report.violations]
         assert report.pillar == "differential"
         assert report.subjects == 4
-        # batched + columnar + surrogate (whole-batch gate + per run) +
-        # runcache + predict, for each scenario/workload.
-        assert report.checks_run == 4 + 4 + (1 + 4) + 4 + 2
-        assert report.stats["surrogate_rel_tol"] == 1e-2
+        # batched + columnar + runcache + predict, for each
+        # scenario/workload.
+        assert report.checks_run == 4 + 4 + 4 + 2
 
 
 class TestInjectedDivergence:
@@ -159,49 +158,6 @@ class TestInjectedDivergence:
         for violation in columnar:
             assert violation.details["rel_error"] > REL_TOL
             assert violation.details["minimized_scenarios"]
-
-    def test_surrogate_beyond_bound_is_detected(self, monkeypatch):
-        import repro.sim.surrogate as surrogate
-
-        real = surrogate.simulate_many_surrogate
-
-        def beyond_bound(specs):
-            results, _ = real(specs)
-            # Claim acceptance while exceeding the 1% calibrated bound.
-            return (
-                [dataclasses.replace(r, mem_latency_mult=r.mem_latency_mult * 1.05)
-                 for r in results],
-                [True] * len(results),
-            )
-
-        monkeypatch.setattr(surrogate, "simulate_many_surrogate", beyond_bound)
-        report = run_differential_checks(
-            workloads=("EP", "SSCA2"), levels=(1, 4),
-        )
-        bad = [v for v in report.violations
-               if v.check == "surrogate_vs_solver"]
-        assert bad, [v.render() for v in report.violations]
-        assert all(v.details["accepted"] for v in bad)
-
-    def test_surrogate_that_never_engages_is_flagged(self, monkeypatch):
-        import repro.sim.surrogate as surrogate
-        import repro.sim.table as table
-
-        def always_falls_back(specs):
-            results = table.simulate_many_columnar(specs)
-            return results, [False] * len(results)
-
-        monkeypatch.setattr(
-            surrogate, "simulate_many_surrogate", always_falls_back
-        )
-        report = run_differential_checks(
-            workloads=("EP", "SSCA2"), levels=(1, 4),
-        )
-        gate = [v for v in report.violations
-                if v.check == "surrogate_vs_solver"]
-        assert len(gate) == 1
-        assert gate[0].subject == "(whole batch)"
-        assert report.stats["surrogate_accepted"] == 0
 
     def test_simulate_batch_seam_equivalent_injection(self):
         # The explicit seam gives the same detection without patching.

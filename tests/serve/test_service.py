@@ -99,6 +99,12 @@ class TestBasics:
             client.predict("doom")
         assert exc_info.value.code == "invalid_request"
 
+    def test_unknown_strategy_is_client_error(self, client):
+        with pytest.raises(ServeError) as exc_info:
+            client.sweep(workloads=["EP"], levels=[1], strategy="surrogate")
+        assert exc_info.value.code == "invalid_request"
+        assert "unknown strategy" in str(exc_info.value)
+
     def test_unknown_op_is_rejected(self, client):
         with pytest.raises(ServeError) as exc_info:
             client.request("explode", {})

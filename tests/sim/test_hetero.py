@@ -90,29 +90,6 @@ class TestStrategyAgreement:
             assert other.performance == pytest.approx(
                 serial.performance, rel=TOL)
 
-    @pytest.mark.parametrize("name", ["SSCA2", "Equake", "CG"])
-    def test_surrogate_agrees_within_bound(self, name, tmp_path, monkeypatch):
-        from repro.obs import configure
-
-        # Surrogate models persist under the run-cache directory.
-        monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path))
-        wl = all_workloads()[name]
-        spec = HeteroRunSpec(CHIP, wl.stream, wl.sync, seed=3)
-        serial = simulate_hetero(spec, strategy="serial")
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            surrogate = simulate_hetero(spec, strategy="surrogate")
-            hits = tracer.counters().get("surrogate.hits", 0)
-        finally:
-            configure(enabled=False)
-            tracer.reset()
-        assert hits == len(CHIP.clusters), "surrogate must answer every cluster"
-        assert surrogate.wall_seconds == pytest.approx(
-            serial.wall_seconds, rel=1e-2)
-        assert surrogate.performance == pytest.approx(
-            serial.performance, rel=1e-2)
-
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             simulate_hetero(_spec(), strategy="quantum")

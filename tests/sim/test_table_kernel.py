@@ -1,18 +1,16 @@
 """The ScenarioTable's kernel shortcuts and whole-table finalization.
 
 A bisection phase computes its spin-blend terms once and probes with
-``util_only`` solves; finalization accounts every selected run in one
-vector pass.  These tests pin each shortcut to the computation it
-replaces, bit for bit, and the finalization of run subsets (the
-surrogate finalizes its hits and misses separately) to the full table.
+``util_only`` solves; finalization accounts every run of the table in
+one vector pass.  These tests pin each shortcut to the computation it
+replaces, bit for bit, and finalization's failures to the scalar
+engine's messages.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.arch import nehalem, power7
+from repro.arch import power7
 from repro.sim.engine import RunSpec
 from repro.sim.table import _SPIN_VEC, ScenarioTable, _BRANCH
 from repro.simos import SystemSpec
@@ -20,7 +18,6 @@ from repro.simos.timebase import TimeAccounting, account_run, account_runs
 from repro.workloads import all_workloads
 
 P7 = power7()
-NHM = nehalem()
 
 NAMES = ("EP", "SSCA2", "Fluidanimate", "SPECjbb_contention", "IS")
 
@@ -81,26 +78,7 @@ class TestKernel:
             assert np.array_equal(getattr(by_w, field), getattr(by_terms, field)), field
 
 
-def _fields(result):
-    return {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-
-
 class TestFinalize:
-    @pytest.mark.parametrize("noise", [0.01, 0.0])
-    def test_subset_matches_full_table(self, noise):
-        table = ScenarioTable(_specs(arch=NHM, levels=(1, 2), noise_rel=noise))
-        state = table.drive()
-        full = table.finalize(state)
-        subset = [5, 1, 3]
-        for j, got in zip(subset, table.finalize(state, np.array(subset))):
-            assert _fields(got) == _fields(full[j])
-
-    def test_empty_selection_returns_empty(self, table):
-        state = table.drive()
-        assert table.finalize(state, np.array([], dtype=int)) == []
-        assert table.finalize(state, []) == []
-        assert table.run([]) == []
-
     @pytest.mark.parametrize("bad_rate", [0.0, -3.0, float("nan")])
     def test_non_positive_parallel_rate_raises_scalar_message(self, table, bad_rate):
         state = table.drive()

@@ -97,6 +97,20 @@ class TestServeConfigFromEnv:
         assert config.max_batch == 32
 
 
+class TestServeConfigSession:
+    @pytest.mark.parametrize("key", ["bogus", "surrogate", "n_chips"])
+    def test_unknown_session_key_rejected_at_construction(self, key):
+        with pytest.raises(ValueError) as exc:
+            ServeConfig(session={"seed": 11, key: 1})
+        assert repr(key) in str(exc.value)
+        assert "threshold_method" in str(exc.value)
+
+    def test_every_get_session_knob_accepted(self):
+        session = {"seed": 3, "work": 1e9, "use_cache": False,
+                   "threshold": 0.07, "threshold_method": "gini"}
+        assert ServeConfig(session=session).session == session
+
+
 class TestFleetConfigFromEnv:
     def test_round_trip(self):
         env = {

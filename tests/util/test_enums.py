@@ -3,7 +3,7 @@ instantiations (``Strategy``, ``Policy``)."""
 
 import pytest
 
-from repro.experiments.runner import STRATEGIES, Strategy, run_catalog
+from repro.experiments.runner import Strategy, run_catalog
 from repro.fleet import Policy
 from repro.util import ValidatedStrEnum
 
@@ -34,17 +34,18 @@ class TestValidatedStrEnum:
 
 class TestStrategyEnum:
     def test_covers_legacy_tuple(self):
-        assert Strategy.options() == tuple(STRATEGIES)
+        assert Strategy.options() == ("columnar", "batched", "serial")
 
     def test_members(self):
         assert Strategy.COLUMNAR == "columnar"
-        assert Strategy.parse("surrogate") is Strategy.SURROGATE
+        assert Strategy.parse("batched") is Strategy.BATCHED
 
     def test_parallel_is_not_a_strategy(self):
-        with pytest.raises(ValueError) as exc:
-            Strategy.parse("parallel")
-        assert "'parallel'" in str(exc.value)
-        assert "valid options: columnar, surrogate, batched, serial" in str(exc.value)
+        for retired in ("parallel", "surrogate"):
+            with pytest.raises(ValueError) as exc:
+                Strategy.parse(retired)
+            assert f"'{retired}'" in str(exc.value)
+            assert "valid options: columnar, batched, serial" in str(exc.value)
 
     def test_run_catalog_rejects_typo_with_options(self):
         with pytest.raises(ValueError, match="colmnar"):

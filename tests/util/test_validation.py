@@ -76,6 +76,20 @@ class TestProbabilityVector:
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out, arr, atol=1e-9)
 
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=8))
+    def test_validating_twice_is_bit_identical(self, raw):
+        # Mix hashes its rounded vector, so a Mix rebuilt from another
+        # Mix's vector must get the very same bits back.
+        total = np.sum(raw)
+        if total <= 0:
+            return
+        once = check_probability_vector("mix", np.array(raw) / total)
+        assert np.array_equal(check_probability_vector("mix", once), once)
+
+    def test_unnormalized_by_more_than_round_off_is_rescaled(self):
+        out = check_probability_vector("mix", [0.5, 0.5 + 1e-9])
+        assert out[0] < 0.5
+
 
 class TestCheckIntIn:
     def test_accepts_member(self):
