@@ -18,12 +18,11 @@ metric "can easily be adapted to other architectures" (§VII).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from repro.counters.pmu import CounterSample
+from repro.counters.pmu import CounterSample, metric_layout
 from repro.sim.results import RunResult
 
 
@@ -83,9 +82,8 @@ def _smtsm_terms(sample: CounterSample) -> Tuple[float, float, float]:
     scalability ratio.  The value is their product, in that order; the
     online controller reads them without building an
     :class:`SmtsmResult` per sample."""
-    fractions = sample.metric_fractions()
-    ideal = sample.arch.ideal_vector()
-    deviation = float(np.sqrt(np.sum((fractions - ideal) ** 2)))
+    diff = sample.metric_fractions() - metric_layout(sample.arch)[1]
+    deviation = math.sqrt((diff * diff).sum())
     return deviation, sample.dispatch_held_fraction, sample.scalability_ratio
 
 

@@ -33,8 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.metric import _smtsm_terms, smtsm
 from repro.core.predictor import SmtPredictor
-from repro.counters.events import CLASS_COUNT_EVENTS, port_issue_event
-from repro.counters.pmu import CounterSample
+from repro.counters.pmu import CounterSample, metric_layout
 from repro.obs import get_tracer
 from repro.util.validation import check_fraction, check_positive
 
@@ -57,12 +56,6 @@ class RobustSmtsm:
     arch_name: str
 
 
-def _metric_event_names(arch) -> Tuple[str, ...]:
-    if arch.metric_space == "class":
-        return CLASS_COUNT_EVENTS
-    return tuple(port_issue_event(p) for p in arch.topology.port_names)
-
-
 def robust_smtsm(sample: CounterSample) -> RobustSmtsm:
     """Evaluate SMTsm, degrading gracefully on missing events."""
     value, confidence, missing = _estimate(sample)
@@ -80,8 +73,7 @@ def _estimate(
     sample: CounterSample,
 ) -> Tuple[Optional[float], float, Tuple[str, ...]]:
     """``(value, confidence, missing_events)`` of :func:`robust_smtsm`."""
-    arch = sample.arch
-    names = _metric_event_names(arch)
+    names, ideal = metric_layout(sample.arch)
     missing = tuple(n for n in names if n not in sample.events)
     if not missing:
         deviation, held, scalability = _smtsm_terms(sample)
@@ -91,7 +83,6 @@ def _estimate(
             raise ValueError(f"dispatch_held must be >= 0, got {held}")
         return deviation * held * scalability, 1.0, ()
 
-    ideal = arch.ideal_vector()
     present = [i for i, n in enumerate(names) if n not in missing]
     observed_mass = float(sum(ideal[i] for i in present))
     observed_total = float(sum(sample.events[names[i]] for i in present))
@@ -208,6 +199,14 @@ class HardenedController:
                 )
         self.predictors = dict(predictors)
         self.config = config if config is not None else HardenedConfig()
+        # The hysteresis edges, lowest level first: leaving the max
+        # level must clear threshold * (1 + band), returning must fall
+        # under threshold * (1 - band).
+        band = self.config.hysteresis_rel
+        ordered = [(low, self.predictors[low].threshold)
+                   for low in sorted(self.predictors)]
+        self._leave_edges = tuple((low, t * (1.0 + band)) for low, t in ordered)
+        self._return_edges = tuple((low, t * (1.0 - band)) for low, t in ordered)
         self.level = self.max_level
         self.smoothed: Optional[float] = None
         self._n = 0
@@ -218,13 +217,11 @@ class HardenedController:
     # -- decision core -------------------------------------------------
     def _target(self, metric: float) -> int:
         """Hysteresis-banded version of the optimizer's level choice."""
-        band = self.config.hysteresis_rel
-        for low in sorted(self.predictors):
-            threshold = self.predictors[low].threshold
-            # Staying put is favoured: the band a crossing must clear
-            # depends on which side the controller currently sits on.
-            edge = threshold * (1.0 + band) if self.level == self.max_level \
-                else threshold * (1.0 - band)
+        # Staying put is favoured: the band a crossing must clear
+        # depends on which side the controller currently sits on.
+        edges = self._leave_edges if self.level == self.max_level \
+            else self._return_edges
+        for low, edge in edges:
             if metric > edge:
                 return low
         return self.max_level

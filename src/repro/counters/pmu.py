@@ -82,6 +82,46 @@ class Pmu:
         return {name: float(rows[:, i].sum()) for i, name in enumerate(self._names)}
 
 
+#: Events a :class:`CounterSample` refuses to exist without.
+REQUIRED_EVENTS = ("CYCLES", "INSTRUCTIONS", "DISP_HELD_RES")
+
+
+def _check_required(events: Mapping[str, float]) -> None:
+    for required in REQUIRED_EVENTS:
+        if required not in events:
+            raise ValueError(f"counter sample missing required event {required}")
+
+
+#: Metric-space layouts, one per architecture object.  Keyed by ``id``
+#: with the architecture kept alive, so a key is never reused while
+#: cached; the bound keeps throwaway architectures from growing it.
+_LAYOUTS: Dict[int, Tuple[Architecture, Tuple[str, ...], np.ndarray]] = {}
+_LAYOUTS_MAX = 64
+
+
+def metric_layout(arch: Architecture) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """``(event names, ideal vector)`` of ``arch``'s metric space.
+
+    The names are the per-class completion counters (class space) or
+    the per-port issue counters (port space), in the order of
+    :meth:`~repro.arch.machine.Architecture.ideal_vector`; the vector
+    is a read-only copy of it, so mutating what ``ideal_vector()``
+    returns cannot reach the metric.  Built once per architecture.
+    """
+    hit = _LAYOUTS.get(id(arch))
+    if hit is None or hit[0] is not arch:
+        if arch.metric_space == "class":
+            names = CLASS_COUNT_EVENTS
+        else:
+            names = tuple(port_issue_event(p) for p in arch.topology.port_names)
+        ideal = np.array(arch.ideal_vector(), dtype=float)
+        ideal.setflags(write=False)
+        if len(_LAYOUTS) >= _LAYOUTS_MAX:
+            _LAYOUTS.clear()
+        hit = _LAYOUTS[id(arch)] = (arch, names, ideal)
+    return hit[1], hit[2]
+
+
 @dataclass(frozen=True)
 class CounterSample:
     """An aggregated counter interval plus time accounting.
@@ -105,9 +145,7 @@ class CounterSample:
         if self.n_software_threads <= 0:
             raise ValueError(f"n_software_threads must be > 0, got {self.n_software_threads}")
         self.arch.validate_smt_level(self.smt_level)
-        for required in ("CYCLES", "INSTRUCTIONS", "DISP_HELD_RES"):
-            if required not in self.events:
-                raise ValueError(f"counter sample missing required event {required}")
+        _check_required(self.events)
 
     # -- primitive accessors -------------------------------------------
     def count(self, event: str) -> float:
@@ -180,30 +218,38 @@ class CounterSample:
 
         For a class-space architecture (POWER7) these come from the
         per-class completion counters; for a port-space architecture
-        (Nehalem) from the per-port issue counters.
+        (Nehalem) from the per-port issue counters, in the order of
+        :func:`metric_layout`.
         """
-        if self.arch.metric_space == "class":
-            counts = self.class_counts()
-            vec = np.array([counts[k] for k in CLASS_ORDER], dtype=float)
-        else:
-            vec = np.array(
-                [self.count(port_issue_event(p)) for p in self.arch.topology.port_names],
-                dtype=float,
-            )
+        names, _ = metric_layout(self.arch)
+        events = self.events
+        try:
+            vec = np.array([events[name] for name in names], dtype=float)
+        except KeyError:
+            for name in names:
+                self.count(name)   # raises, naming the first missing event
+            raise
         total = vec.sum()
         if total <= 0:
             raise ValueError("cannot form metric fractions: no issue counts in sample")
         return vec / total
 
+    def replace_events(self, events: Mapping[str, float]) -> "CounterSample":
+        """A copy carrying ``events`` instead of this sample's.
+
+        Nothing is merged, and only the required events are checked:
+        every other field is this sample's, validated when it was
+        built.  This is how one shared sample is corrupted many times
+        over without re-validating its architecture, level and times.
+        """
+        _check_required(events)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.__dict__["events"] = events
+        return twin
+
     def with_events(self, extra: Mapping[str, float]) -> "CounterSample":
         """A copy with some events replaced (used by noise/overhead models)."""
         merged = dict(self.events)
         merged.update(extra)
-        return CounterSample(
-            arch=self.arch,
-            smt_level=self.smt_level,
-            events=merged,
-            wall_time_s=self.wall_time_s,
-            avg_thread_cpu_s=self.avg_thread_cpu_s,
-            n_software_threads=self.n_software_threads,
-        )
+        return self.replace_events(merged)

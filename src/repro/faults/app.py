@@ -19,12 +19,13 @@ in :attr:`FaultyApp.injections` and, when telemetry is on, in
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.counters.groups import MultiplexSchedule
-from repro.counters.pmu import CounterSample
+from repro.counters.pmu import REQUIRED_EVENTS, CounterSample
 from repro.faults.model import FaultConfig
 from repro.obs import get_tracer
 from repro.util.rng import RngStream
@@ -32,7 +33,7 @@ from repro.util.rng import RngStream
 #: Events :class:`CounterSample` refuses to exist without; dropout never
 #: removes them (on real hardware cycles/instructions live on fixed or
 #: always-programmed counters).
-PROTECTED_EVENTS = ("CYCLES", "INSTRUCTIONS", "DISP_HELD_RES")
+PROTECTED_EVENTS = REQUIRED_EVENTS
 
 #: Derived schedules, one per architecture object (schedules are
 #: immutable, so every app on a machine shares one).  Keyed by ``id``
@@ -51,6 +52,36 @@ def _schedule_for(arch) -> MultiplexSchedule:
             _SCHEDULES.clear()
         hit = _SCHEDULES[id(arch)] = (arch, groups_for(arch))
     return hit[1]
+
+
+#: Event columns ``(names, sorted names, values)`` of source samples
+#: whose events are a read-only mapping, taken as immutable: the fleet
+#: perf model hands every node one frozen sample per (arch, workload,
+#: level, interval), so its columns are read once, not per corruption.
+#: Keyed by ``id`` with the sample kept alive, bounded like
+#: :data:`_SCHEDULES`.
+_COLUMNS: Dict[int, Tuple[CounterSample, Tuple[str, ...], List[str], np.ndarray]] = {}
+_COLUMNS_MAX = 1024
+
+#: Obs counter of each injection kind.
+_COUNTER_NAMES = {
+    kind: f"faults.{kind}"
+    for kind in ("noise", "heavy_tail", "phase_spike", "dropout", "saturated", "stale")
+}
+
+
+def _columns_for(sample: CounterSample) -> Tuple[Tuple[str, ...], List[str], np.ndarray]:
+    hit = _COLUMNS.get(id(sample))
+    if hit is not None and hit[0] is sample:
+        return hit[1], hit[2], hit[3]
+    raw = sample.events
+    names = tuple(raw)
+    columns = (names, sorted(names), np.fromiter(raw.values(), float, len(names)))
+    if isinstance(raw, MappingProxyType):
+        if len(_COLUMNS) >= _COLUMNS_MAX:
+            _COLUMNS.clear()
+        _COLUMNS[id(sample)] = (sample,) + columns
+    return columns
 
 
 class FaultyApp:
@@ -103,7 +134,7 @@ class FaultyApp:
 
     def _record(self, kind: str) -> None:
         self.injections[kind] = self.injections.get(kind, 0) + 1
-        get_tracer().add(f"faults.{kind}")
+        get_tracer().add(_COUNTER_NAMES[kind])
 
     def _groups(self, sample: CounterSample) -> MultiplexSchedule:
         if self._schedule is None:
@@ -128,17 +159,17 @@ class FaultyApp:
             # One vector draw fills the stream exactly as one scalar
             # RngStream.jitter per event (in key order) would.
             self._record("noise")
-            raw = sample.events
-            z = self._noise.normal(0.0, cfg.noise_rel, len(raw))
-            values = np.fromiter(raw.values(), float, len(raw))
-            events = dict(zip(raw, (values * np.maximum(0.05, 1.0 + z)).tolist()))
+            names, _, values = _columns_for(sample)
+            z = self._noise.normal(0.0, cfg.noise_rel, len(names))
+            events = dict(zip(names, (values * np.maximum(0.05, 1.0 + z)).tolist()))
         else:
             events = dict(sample.events)
 
         if cfg.heavy_tail_prob > 0 and self._tail.random() < cfg.heavy_tail_prob:
             # One wildly-wrong counter: a multiplicative log-normal
-            # glitch on a single randomly-chosen event.
-            names = sorted(events)
+            # glitch on a single randomly-chosen event (the keys are
+            # still the source sample's here).
+            names = _columns_for(sample)[1]
             victim = names[int(self._tail.integers(0, len(names)))]
             sigma = math.log(cfg.heavy_tail_scale)
             factor = math.exp(abs(float(self._tail.normal(0.0, sigma)))) if sigma > 0 else 1.0
@@ -173,14 +204,7 @@ class FaultyApp:
                 for name in clipped:
                     events[name] = cap
 
-        corrupted = CounterSample(
-            arch=sample.arch,
-            smt_level=sample.smt_level,
-            events=events,
-            wall_time_s=sample.wall_time_s,
-            avg_thread_cpu_s=sample.avg_thread_cpu_s,
-            n_software_threads=sample.n_software_threads,
-        )
+        corrupted = sample.replace_events(events)
 
         if (
             cfg.stale_prob > 0

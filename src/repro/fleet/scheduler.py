@@ -232,10 +232,11 @@ class FleetScheduler:
         # the same arrival process and rate.
         weights = mix_weights(config, self.workload_names)
         mean_size = mean_job_size(config)
-        capacity = sum(
-            1.0 / self.model.mean_service_s(node.arch, weights, mean_size)
-            for node in self.nodes
-        )
+        rate = {
+            arch: 1.0 / self.model.mean_service_s(arch, weights, mean_size)
+            for arch in arch_names
+        }
+        capacity = sum(rate[node.arch] for node in self.nodes)
         self.arrival_rate = config.load * capacity
 
         # Tallies

@@ -64,23 +64,24 @@ class RngStream:
         return RngStream(self.seed, self.keys + tuple(keys))
 
     # Convenience passthroughs used throughout the simulator ----------
+    # (``self._gen or self.gen``: a seeded stream skips the property.)
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self.gen.uniform(low, high, size)
+        return (self._gen or self.gen).uniform(low, high, size)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        return self.gen.normal(loc, scale, size)
+        return (self._gen or self.gen).normal(loc, scale, size)
 
     def geometric(self, p: float, size=None):
-        return self.gen.geometric(p, size)
+        return (self._gen or self.gen).geometric(p, size)
 
     def random(self, size=None):
-        return self.gen.random(size)
+        return (self._gen or self.gen).random(size)
 
     def integers(self, low: int, high: int, size=None):
-        return self.gen.integers(low, high, size)
+        return (self._gen or self.gen).integers(low, high, size)
 
     def choice(self, a, size=None, p=None):
-        return self.gen.choice(a, size=size, p=p)
+        return (self._gen or self.gen).choice(a, size=size, p=p)
 
     def jitter(self, value: float, rel_sigma: float) -> float:
         """Multiplicative log-normal-ish jitter used for run-to-run noise.

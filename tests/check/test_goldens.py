@@ -172,3 +172,19 @@ class TestShippedGoldens:
             golden = load_golden(fig)
             assert golden is not None, f"tests/goldens/{fig}.json missing"
             assert golden["fingerprint"] == model_fingerprint(), fig
+
+
+class TestGoldenBytes:
+    def test_regenerated_goldens_equal_the_committed_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # The tolerance-aware diff forgives last-digit drift; this pins
+        # every committed golden byte for byte, so a change that moves
+        # any float of any figure summary by one ulp fails here.
+        monkeypatch.setenv("REPRO_RUNCACHE_DIR", str(tmp_path / "cache"))
+        written = update_goldens(directory=tmp_path / "goldens")
+        assert sorted(p.name for p in written) == sorted(
+            f"{fig}.json" for fig in figure_names())
+        for path in written:
+            committed = golden_path(path.stem)
+            assert path.read_bytes() == committed.read_bytes(), path.name

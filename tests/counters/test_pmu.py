@@ -162,6 +162,23 @@ class TestCounterSampleDerived:
         assert s2.cycles == 2e6
         assert s2.instructions == s.instructions
 
+    def test_replace_events_equals_a_validated_copy(self):
+        s = make_sample()
+        events = dict(s.events, CYCLES=3e6)
+        s2 = s.replace_events(events)
+        assert s2.events is events
+        assert s2 == CounterSample(
+            arch=s.arch, smt_level=s.smt_level, events=events,
+            wall_time_s=s.wall_time_s, avg_thread_cpu_s=s.avg_thread_cpu_s,
+            n_software_threads=s.n_software_threads)
+        assert s.events["CYCLES"] != 3e6          # the source is untouched
+
+    def test_replace_events_still_requires_the_required_events(self):
+        s = make_sample()
+        events = {k: v for k, v in s.events.items() if k != "INSTRUCTIONS"}
+        with pytest.raises(ValueError, match="INSTRUCTIONS"):
+            s.replace_events(events)
+
     def test_unknown_event_lookup(self):
         with pytest.raises(KeyError, match="NOPE"):
             make_sample().count("NOPE")

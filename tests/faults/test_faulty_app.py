@@ -1,6 +1,8 @@
 """Tests for the seeded fault-injection wrapper."""
 
+import dataclasses
 import math
+from types import MappingProxyType
 
 import pytest
 
@@ -308,3 +310,61 @@ class TestScheduleCache:
         assert calls == ["POWER7", "POWER7"]      # once per arch object
         assert apps[0]._schedule is apps[1]._schedule is apps[2]._schedule
         assert apps[3]._schedule is not apps[0]._schedule
+
+
+class FrozenApp(StationaryApp):
+    """Hands out one read-only sample, as the fleet perf model does."""
+
+    def __init__(self, sample=None):
+        super().__init__()
+        if sample is None:
+            plain = StationaryApp.advance(self, 0.1)
+            sample = dataclasses.replace(
+                plain, events=MappingProxyType(dict(plain.events)))
+        self.sample = sample
+
+    def advance(self, wall_seconds):
+        return self.sample
+
+
+class TestColumnsCache:
+    """Columns of read-only source samples are read once per sample;
+    the memo stays bounded and never changes what ``advance`` returns."""
+
+    def test_shared_sample_takes_one_entry(self, monkeypatch):
+        from repro.faults import app as app_module
+
+        monkeypatch.setattr(app_module, "_COLUMNS", {})
+        shared = FrozenApp().sample
+        for seed in range(5):
+            app = FaultyApp(FrozenApp(shared), SEVERE, seed=seed)
+            for _ in range(4):
+                app.advance(0.1)
+        assert list(app_module._COLUMNS) == [id(shared)]
+
+    def test_plain_dict_samples_are_not_memoized(self, monkeypatch):
+        from repro.faults import app as app_module
+
+        monkeypatch.setattr(app_module, "_COLUMNS", {})
+        app = FaultyApp(StationaryApp(), SEVERE, seed=3)
+        for _ in range(10):
+            app.advance(0.1)
+        assert app_module._COLUMNS == {}
+
+    def test_fresh_samples_never_pass_the_cap(self, monkeypatch):
+        from repro.faults import app as app_module
+
+        monkeypatch.setattr(app_module, "_COLUMNS", {})
+        monkeypatch.setattr(app_module, "_COLUMNS_MAX", 4)
+        for seed in range(12):
+            FaultyApp(FrozenApp(), SEVERE, seed=seed).advance(0.1)
+            assert len(app_module._COLUMNS) <= 4
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
+    def test_memoized_columns_corrupt_like_a_plain_sample(self, seed):
+        frozen = FaultyApp(FrozenApp(), noise_profile(0.6), seed=seed)
+        plain = FaultyApp(StationaryApp(), noise_profile(0.6), seed=seed)
+        for _ in range(30):
+            got, want = frozen.advance(0.1), plain.advance(0.1)
+            assert list(got.events.items()) == list(want.events.items())
+        assert frozen.injections == plain.injections
