@@ -29,12 +29,19 @@ relative error).
 :meth:`ScenarioTable.finalize` as a :class:`TableState`: the reported
 per-row solution and the per-run quantities time accounting, jitter
 and the counters read.
+
+Callers re-solve the same run layouts at fresh seeds (sweeps, checks,
+the fleet perf model, served predicts), so the seed-independent columns
+of a table are kept as a *template* per layout (``_TEMPLATES``) and
+copied by later tables with that layout; see :class:`ScenarioTable`.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,12 +282,67 @@ class _View:
         return np.add.reduceat(self.n_cores * self.occ * sol.x, self.seg)
 
 
+#: Table templates, keyed by :func:`_template_key`, least recently used
+#: first.  A template is the ``vars()`` of a table built with its key:
+#: every column that depends on neither a run's seed nor its
+#: ``noise_rel``, its arrays read-only.  It pins the architecture,
+#: streams and sync profiles its key names by ``id``, so no id can be
+#: reused while the entry lives.  Serial rates are not in it: they stay
+#: in ``engine._SERIAL_RATE_CACHE``.
+_TEMPLATES: "OrderedDict[Tuple[int, tuple], Dict[str, Any]]" = OrderedDict()
+_TEMPLATE_MAX = 64
+#: Hashes of the keys built once and not kept.  A key's template is
+#: kept from its second table on, so run layouts that never repeat
+#: (most served predict batches) neither take memory nor evict one.
+_SEEN_ONCE: set = set()
+_SEEN_ONCE_MAX = 4096
+_TEMPLATE_LOCK = threading.Lock()
+
+
+def _template_key(arch, specs: Sequence[RunSpec]) -> Tuple[int, tuple]:
+    """``id(arch)`` and, per run, what its seed-independent columns read:
+    the stream and sync identities, chips, level, threads and work.
+
+    The threads enter as asked for: ``None`` resolves from the chips and
+    the level, which the key holds too.
+    """
+    return id(arch), tuple([
+        (id(spec.stream), id(spec.sync), spec.system.n_chips, spec.smt_level,
+         spec.n_threads, spec.useful_instructions)
+        for spec in specs
+    ])
+
+
+def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> None:
+    """Mark ``columns`` read-only, and keep them as ``key``'s template if
+    the key was seen before (evicting the least recently used one)."""
+    for value in columns.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    digest = hash(key)
+    with _TEMPLATE_LOCK:
+        if digest not in _SEEN_ONCE:
+            if len(_SEEN_ONCE) >= _SEEN_ONCE_MAX:
+                _SEEN_ONCE.clear()
+            _SEEN_ONCE.add(digest)
+            return
+        _SEEN_ONCE.discard(digest)
+        while len(_TEMPLATES) >= _TEMPLATE_MAX:
+            _TEMPLATES.popitem(last=False)
+        _TEMPLATES[key] = dict(columns)
+
+
 class ScenarioTable:
     """Struct-of-arrays over every scenario parameter of a spec batch.
 
     All specs must share one :class:`Architecture` *instance* (group by
-    ``id(arch)`` first — :func:`simulate_many_columnar` does).  Build
-    once, then :meth:`run` drives the full fixed point and finalization.
+    ``id(arch)`` first — :func:`simulate_many_columnar` does).  Construct
+    it, then :meth:`run` drives the full fixed point and finalization.
+
+    Everything the table computes that depends on neither a run's seed
+    nor its ``noise_rel`` is its *template* (see :func:`_template_key`).
+    Once a run layout has been built twice, later tables with it take
+    the template's columns, read-only, instead of rebuilding them.
     """
 
     def __init__(self, specs: Sequence[RunSpec]):
@@ -293,21 +355,42 @@ class ScenarioTable:
                 raise ValueError(
                     "all specs in a ScenarioTable must share one Architecture instance"
                 )
+        key = _template_key(arch, specs)
+        with _TEMPLATE_LOCK:
+            template = _TEMPLATES.pop(key, None)
+            if template is not None:
+                _TEMPLATES[key] = template  # reinserted: most recently used last
+        tracer = get_tracer()
+        if template is None:
+            self._build(arch, specs)
+            _remember(key, vars(self))  # before the per-seed fields below
+        else:
+            self.__dict__.update(template)
+            if tracer.enabled:
+                tracer.add("table.template_hits")
         self.specs = specs
+        self.run_noise = np.array([spec.noise_rel for spec in specs])
+        if tracer.enabled:
+            tracer.add("table.tables")
+            tracer.add("table.runs", self.n_runs)
+            tracer.add("table.rows", self.n_rows)
+
+    def _build(self, arch, specs: List[RunSpec]) -> None:
+        """Compute every seed-independent column of the table."""
         self.arch = arch
         self.freq = arch.cycles_per_second()
         self.bytes_to_gbps = self.freq / 1e9
         self.routing_t = np.ascontiguousarray(arch.topology.routing_matrix.T)
         self.port_caps = arch.topology.capacities[:, None]    # (P, 1)
         self.branch_penalty = float(arch.branch_penalty)
-        self.event_names = self._event_columns()
+        self.event_names = tuple(self._event_columns())
         self.n_events = len(self.event_names)
 
         J = len(specs)
         self.n_runs = J
-        self.ns = [spec.resolved_threads() for spec in specs]
-        self.run_noise = np.array([spec.noise_rel for spec in specs])
-        self.run_n = np.array(self.ns, dtype=float)
+        self.ns = ns = tuple(spec.resolved_threads() for spec in specs)
+        self.syncs = syncs = tuple(spec.sync for spec in specs)
+        self.run_n = np.array(ns, dtype=float)
         # Distinct stream objects (a catalog sweep reuses each workload's
         # stream at every level) and each run's index into them.
         stream_pos: Dict[int, int] = {}
@@ -315,7 +398,7 @@ class ScenarioTable:
             [stream_pos.setdefault(id(spec.stream), len(stream_pos)) for spec in specs],
             dtype=int,
         )
-        self.streams = list({id(spec.stream): spec.stream for spec in specs}.values())
+        self.streams = tuple({id(spec.stream): spec.stream for spec in specs}.values())
 
         # ---- core rows: one per (run, occupancy class) ---------------
         # Placement and the row layout depend only on (chips, level,
@@ -332,7 +415,7 @@ class ScenarioTable:
         run_layout = []
         run_extra = []
         caches = arch.caches
-        for spec, n in zip(specs, self.ns):
+        for spec, n in zip(specs, ns):
             system = spec.system
             key = (system.n_chips, spec.smt_level, n)
             if key not in layouts:
@@ -442,11 +525,30 @@ class ScenarioTable:
         self.row_inv_r = 1.0 / r_cap
         self.row_traffic_bpi = l3e / 1000.0 * caches.line_bytes * wb
 
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.add("table.tables")
-            tracer.add("table.runs", J)
-            tracer.add("table.rows", R)
+        # ---- drive: the per-run sync profile (a few dataclass method
+        # calls per run; everything else is whole-array) ---------------
+        self.run_runnable = np.array(
+            [s.runnable_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        self.run_blocked = np.array(
+            [s.blocked_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        self.run_spin0 = np.array(
+            [s.spin_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        # A run enters the spin loop iff it spins or holds a contended
+        # lock, which its profile tells before the base solve.
+        self.pred_idx = np.flatnonzero((self.run_spin0 != 0.0) | np.array(
+            [s.lock_serial_fraction > 0.0 for s in syncs], dtype=bool
+        ))
+
+        # ---- finalize: work, Amdahl split and the context/core axes ---
+        self.run_work = np.array([
+            spec.useful_instructions * sync.work_inflation(n)
+            for spec, sync, n in zip(specs, syncs, ns)
+        ])
+        self.run_serial_fraction = np.array([sync.serial_fraction for sync in syncs])
+        self.run_mix = self.row_mix[self.run_row_start[:-1]]   # a run's rows share it
+        self.ctx_run = np.repeat(np.arange(J), np.diff(self.ctx_start))
+        self.ctx_bounds = tuple(self.ctx_start.tolist())
+        self.core_occ_sum = np.add.reduceat(self.core_occ, self.core_start[:-1])
 
     # -- helpers -------------------------------------------------------
 
@@ -472,25 +574,17 @@ class ScenarioTable:
     def drive(self) -> TableState:
         """Run the full solver fixed point for every run of the table."""
         J = self.n_runs
-
-        # Per-run sync profile evaluation (a few dataclass method calls
-        # per run; everything else is whole-array).
-        syncs = [spec.sync for spec in self.specs]
+        syncs = self.syncs
         ns = self.ns
-        runnable_a = np.array([s.runnable_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
-        blocked_a = np.array([s.blocked_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
-        spin0_a = np.array([s.spin_fraction(n) for s, n in zip(syncs, ns)], dtype=float)
+        runnable_a = self.run_runnable
+        spin0_a = self.run_spin0
 
         # The base phase and the first spin iteration (blended at spin0)
-        # share one bisection: a run enters the spin loop iff it spins
-        # or holds a contended lock, which its profile tells before the
-        # base solve.  Every run's bracket, rows and reduceat segment are
+        # share one bisection over the runs the sync profiles predict
+        # will loop.  Every run's bracket, rows and reduceat segment are
         # its own, so appending the predicted loop runs changes nothing
         # for the others.
-        predicted = (spin0_a != 0.0) | np.array(
-            [s.lock_serial_fraction > 0.0 for s in syncs], dtype=bool
-        )
-        pred_idx = np.flatnonzero(predicted)
+        pred_idx = self.pred_idx
         view = self.view(np.concatenate((np.arange(J), pred_idx)))
         sol, mults = view.chip_phase(np.concatenate((np.zeros(J), spin0_a[pred_idx])))
         ipc_all = view.thread_ipc_sum(sol)
@@ -558,7 +652,7 @@ class ScenarioTable:
             spin_final=spin_final,
             useful_rate=useful_rate,
             runnable=runnable_a,
-            blocked=blocked_a,
+            blocked=self.run_blocked,
         )
 
     # -- finalization --------------------------------------------------
@@ -569,8 +663,8 @@ class ScenarioTable:
         Mirrors :func:`repro.sim.engine._finalize_run` for every run of
         the table at once.  Noise comes from one seeded RNG stream
         per distinct stream key (one ``standard_normal`` block,
-        replicating the scalar draw order bit-for-bit; the streams are
-        seeded in one batch); the only per-run Python work is the result
+        replicating the scalar draw order bit-for-bit; :func:`seed_streams`
+        seeds them); the only per-run Python work is the result
         dataclasses, built from ``tolist()`` rows.
         """
         m = self.n_runs
@@ -588,13 +682,10 @@ class ScenarioTable:
 
         runnable = state.runnable
         wall, serial_t, par_t, total_cpu = account_runs(
-            useful_instructions=np.array([
-                spec.useful_instructions * spec.sync.work_inflation(nj)
-                for spec, nj in zip(specs, ns)
-            ]),
+            useful_instructions=self.run_work,
             parallel_useful_rate=state.useful_rate,
             serial_rate=rates[self.run_stream],
-            serial_fraction=np.array([spec.sync.serial_fraction for spec in specs]),
+            serial_fraction=self.run_serial_fraction,
             runnable=runnable,
             n_threads=n,
         )
@@ -640,15 +731,13 @@ class ScenarioTable:
         ]
 
         # Final blended mix (reported spin) and derived port fractions.
-        run_mix = self.row_mix[self.run_row_start[:-1]]   # a run's rows share it
-        bm = _spin_blend(run_mix, state.spin_final)
+        bm = _spin_blend(self.run_mix, state.spin_final)
         port_fracs = bm @ self.routing_t                      # (m, P)
         par_cycles = par_t * self.freq * runnable
 
         # Flattened context axis over every run.
         ctx_row = self.ctx_row
-        ctx_seg = self.ctx_start[:-1]
-        ctx_run = np.repeat(np.arange(m), np.diff(self.ctx_start))
+        ctx_run = self.ctx_run
 
         cyc = par_cycles[ctx_run]
         instr = state.x_rows[ctx_row] * cyc
@@ -672,15 +761,13 @@ class ScenarioTable:
             Z[noisy[ctx_run]] = z_tail.reshape(-1, E)
         factors = np.maximum(0.05, 1.0 + noise[ctx_run][:, None] * Z)
         V = V * factors
-        sums = np.add.reduceat(V, ctx_seg, axis=0)            # (m, E)
+        sums = np.add.reduceat(V, self.ctx_start[:-1], axis=0)   # (m, E)
 
         # Occupancy-weighted dispatch-held per run (mirrors np.average).
-        core_seg = self.core_start[:-1]
         held_core = state.held_rows[self.core_row]
-        occ_core = self.core_occ
         mdh = (
-            np.add.reduceat(held_core * occ_core, core_seg)
-            / np.add.reduceat(occ_core, core_seg)
+            np.add.reduceat(held_core * self.core_occ, self.core_start[:-1])
+            / self.core_occ_sum
         )
 
         cap = self.run_cap
@@ -688,7 +775,7 @@ class ScenarioTable:
 
         names = self.event_names
         thread_ipc = state.x_rows[ctx_row].tolist()
-        bounds = self.ctx_start.tolist()
+        bounds = self.ctx_bounds
         return [
             RunResult(
                 arch=arch,

@@ -2,21 +2,26 @@
 
 The serial-rate memo and the run cache's per-architecture key memo are
 keyed by ``id(arch)``, its workload-rendering memo by the identities of
-a ``(stream, sync)`` pair.  Registered architectures and catalog
-workloads are shared instances, so fresh sessions must reuse their
-entries rather than add new ones; freshly built architectures and
-streams must never push any memo past its cap.
+a ``(stream, sync)`` pair, and the table-template memo by ``id(arch)``
+and every run's stream and sync identities.  Registered architectures
+and catalog workloads are shared instances, so fresh sessions must
+reuse their entries rather than add new ones; freshly built
+architectures and streams must never push any memo past its cap.
 """
 
 import dataclasses
+import sys
+import threading
+from collections import OrderedDict
 from unittest import mock
 
 from hypothesis import given, settings
 
 import repro.api as api
 from repro.arch import get_architecture
-from repro.sim import engine, runcache
+from repro.sim import engine, runcache, table
 from repro.sim.engine import RunSpec
+from repro.sim.table import ScenarioTable
 from repro.simos.system import SystemSpec
 from repro.workloads import get_workload
 from tests.arch.strategies import arch_strategy
@@ -26,7 +31,8 @@ SMALL_CAP = 4
 
 def memo_sizes():
     return (len(engine._SERIAL_RATE_CACHE), len(runcache._ARCH_MEMO),
-            len(runcache._WORKLOAD_MEMO))
+            len(runcache._WORKLOAD_MEMO), len(table._TEMPLATES),
+            len(table._SEEN_ONCE))
 
 
 def test_fresh_sessions_do_not_grow_the_memos(tmp_path, monkeypatch):
@@ -56,6 +62,24 @@ def test_fresh_architectures_never_pass_the_caps(arch):
         assert len(runcache._ARCH_MEMO) <= SMALL_CAP
 
 
+@given(arch_strategy())
+@settings(max_examples=30, deadline=None)
+def test_fresh_architectures_never_pass_the_template_cap(arch):
+    system = SystemSpec(arch, 1)
+    with mock.patch.object(table, "_TEMPLATES", OrderedDict()), \
+            mock.patch.object(table, "_SEEN_ONCE", set()), \
+            mock.patch.object(table, "_TEMPLATE_MAX", SMALL_CAP), \
+            mock.patch.object(table, "_SEEN_ONCE_MAX", SMALL_CAP):
+        for name in ("EP", "CG", "Stream"):
+            workload = get_workload(name)
+            spec = RunSpec(system=system, smt_level=1, stream=workload.stream,
+                           sync=workload.sync)
+            for _ in range(2):  # the second build keeps a template
+                ScenarioTable([spec])
+            assert len(table._TEMPLATES) <= SMALL_CAP
+            assert len(table._SEEN_ONCE) <= SMALL_CAP
+
+
 def test_fresh_streams_never_pass_the_cap():
     workload = get_workload("EP")
     system = SystemSpec(get_architecture("power7"), 1)
@@ -70,3 +94,97 @@ def test_fresh_streams_never_pass_the_cap():
                                            seed=i))
             assert len(runcache._WORKLOAD_MEMO) <= SMALL_CAP
 
+
+
+def test_fresh_streams_never_pass_the_template_cap():
+    workload = get_workload("EP")
+    system = SystemSpec(get_architecture("power7"), 1)
+    with mock.patch.object(table, "_TEMPLATES", OrderedDict()), \
+            mock.patch.object(table, "_SEEN_ONCE", set()), \
+            mock.patch.object(table, "_TEMPLATE_MAX", SMALL_CAP), \
+            mock.patch.object(table, "_SEEN_ONCE_MAX", SMALL_CAP):
+        for i in range(3 * SMALL_CAP):
+            stream = dataclasses.replace(workload.stream)
+            spec = RunSpec(system=system, smt_level=4, stream=stream,
+                           sync=workload.sync, seed=i)
+            for _ in range(2):
+                ScenarioTable([spec])
+            assert len(table._TEMPLATES) <= SMALL_CAP
+            assert len(table._SEEN_ONCE) <= SMALL_CAP
+
+
+def test_new_batches_never_evict_single_run_templates(monkeypatch):
+    """A served batch that never repeats (a new multi-run combination)
+    neither keeps a template nor evicts the single-run ones in use."""
+    monkeypatch.setattr(table, "_TEMPLATES", OrderedDict())
+    monkeypatch.setattr(table, "_SEEN_ONCE", set())
+    monkeypatch.setattr(table, "_TEMPLATE_MAX", SMALL_CAP)
+    system = SystemSpec(get_architecture("power7"), 1)
+
+    def spec(name, n_threads=None, seed=0):
+        workload = get_workload(name)
+        return RunSpec(system=system, smt_level=4, stream=workload.stream,
+                       sync=workload.sync, n_threads=n_threads, seed=seed)
+
+    solo = [[spec("EP")], [spec("CG")]]
+    kept = []
+    for specs in solo:
+        ScenarioTable(specs)
+        kept.append(ScenarioTable(specs).row_mix)
+    for i in range(3 * SMALL_CAP):
+        ScenarioTable([spec("EP", seed=i), spec("IS", n_threads=i + 1, seed=i)])
+        for specs, row_mix in zip(solo, kept):
+            assert ScenarioTable([dataclasses.replace(specs[0], seed=i)]).row_mix is row_mix
+    assert len(table._TEMPLATES) == len(solo)
+
+    # Combinations that repeat are kept like any other layout; at the
+    # cap the least recently used template makes room.
+    for n_threads in (5, 6):
+        batch = [spec("EP"), spec("IS", n_threads=n_threads)]
+        ScenarioTable(batch)
+        assert ScenarioTable(batch).row_mix is ScenarioTable(batch).row_mix
+    assert len(table._TEMPLATES) == SMALL_CAP
+    assert ScenarioTable(solo[0]).row_mix is kept[0]   # EP used again: CG is oldest
+    batch = [spec("EP"), spec("IS", n_threads=7)]
+    ScenarioTable(batch)
+    ScenarioTable(batch)
+    assert len(table._TEMPLATES) == SMALL_CAP
+    assert ScenarioTable(solo[0]).row_mix is kept[0]
+    assert ScenarioTable(solo[1]).row_mix is not kept[1]
+
+
+def test_threads_share_the_template_memo(monkeypatch):
+    monkeypatch.setattr(table, "_TEMPLATES", OrderedDict())
+    monkeypatch.setattr(table, "_SEEN_ONCE", set())
+    monkeypatch.setattr(table, "_TEMPLATE_MAX", SMALL_CAP)
+    workload = get_workload("EP")
+    system = SystemSpec(get_architecture("power7"), 1)
+    streams = [dataclasses.replace(workload.stream) for _ in range(2 * SMALL_CAP)]
+    errors = []
+
+    def build(k):
+        try:
+            for i in range(40):
+                stream = streams[(i // 2 + k) % len(streams)]
+                spec = RunSpec(system=system, smt_level=4, stream=stream,
+                               sync=workload.sync, seed=i)
+                if ScenarioTable([spec]).streams[0] is not stream:
+                    errors.append((k, i, "another layout's template"))
+                if len(table._TEMPLATES) > SMALL_CAP:
+                    errors.append((k, i, len(table._TEMPLATES)))
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert 0 < len(table._TEMPLATES) <= SMALL_CAP

@@ -8,16 +8,28 @@ SMT levels, thread counts and chip counts; and degenerate single-row
 tables where no lockstep amortization exists at all.
 """
 
+import dataclasses
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
+import repro.api as api
 from repro.arch import nehalem, power7
+from repro.arch.hetero import get_hetero
 from repro.check.differential import REL_TOL, compare_runs
+from repro.experiments.runner import run_catalog
+from repro.fleet import perfmodel
+from repro.obs import configure
+from repro.sim import table as table_mod
 from repro.sim.engine import RunSpec, simulate_run
+from repro.sim.hetero import HeteroRunSpec, simulate_many_hetero
 from repro.sim.table import ScenarioTable, simulate_many_columnar
 from repro.simos import SystemSpec
 from repro.workloads import all_workloads
 
 from .helpers import balanced_stream, memory_stream, thrashy_fp_stream
+from .test_table_pins import SEEDS, results_digest
 
 
 #: One shared instance per architecture: a ScenarioTable groups rows by
@@ -115,3 +127,114 @@ class TestScenarioTable:
         first = table.run()[0]
         second = ScenarioTable(specs).run()[0]
         assert compare_runs(first, second, rel_tol=0.0) == []
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty template memo, restored afterwards."""
+    monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
+    monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+
+
+def _kept(specs):
+    """A table built from a layout's kept template: a layout's template
+    is kept from its second table on."""
+    ScenarioTable(specs)
+    ScenarioTable(specs)
+    return ScenarioTable(specs)
+
+
+def _catalog_digest(alias, seed):
+    runs = run_catalog(alias, seed=seed, use_cache=False)
+    assert not runs.failures
+    return results_digest(
+        runs.runs[name][level] for name in sorted(runs.runs) for level in sorted(runs.runs[name])
+    )
+
+
+class TestTemplates:
+    """Tables that copy a template answer exactly like freshly built ones."""
+
+    @pytest.mark.parametrize("alias", ["p7", "nehalem"])
+    def test_warm_memo_answers_like_a_cold_one(self, alias, monkeypatch):
+        cold = []
+        for seed in SEEDS:
+            monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
+            monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+            cold.append(_catalog_digest(alias, seed))
+
+        # Warm the memo through other entry points (the serial strategy
+        # is left out: its serial-rate memo fills differently), then
+        # build the catalog's layout twice at a seed outside SEEDS.
+        perfmodel._build(("power7", "nehalem"), ("EP", "CG", "SSCA2"))
+        session = api.Session(alias, use_cache=False)
+        for name in ("SSCA2", "SSCA2", "SSCA2"):
+            session.predict(name, seed=5)
+        workload = all_workloads()["EP"]
+        simulate_many_hetero([
+            HeteroRunSpec(get_hetero("biglittle"), workload.stream, workload.sync, seed=seed)
+            for seed in (1, 2)
+        ])
+        _catalog_digest(alias, 123)
+        _catalog_digest(alias, 123)
+
+        tracer = configure(enabled=True)
+        tracer.reset()
+        try:
+            warm = [_catalog_digest(alias, seed) for seed in SEEDS]
+            counters = tracer.counters()
+        finally:
+            configure(enabled=False)
+            tracer.reset()
+        assert counters["table.template_hits"] == counters["table.tables"] >= len(SEEDS)
+        assert warm == cold
+
+    @pytest.mark.parametrize("change", [
+        {"seed": 99},
+        {"seed": 2**40 + 1},
+        {"noise_rel": 0.0},
+        {"noise_rel": 0.2},
+        {"system": SystemSpec(P7, 1)},
+    ], ids=["seed", "wide-seed", "noise-free", "noise", "equal-system"])
+    def test_seed_and_noise_reuse_the_template(self, cold_memo, change):
+        base = _catalog_spec("SSCA2", 4)
+        kept = _kept([base])
+        other = ScenarioTable([dataclasses.replace(base, **change)])
+        assert other.row_mix is kept.row_mix
+        assert other.run_runnable is kept.run_runnable
+        assert other.run_work is kept.run_work
+
+    @pytest.mark.parametrize("change", [
+        lambda spec: {"stream": dataclasses.replace(spec.stream)},
+        lambda spec: {"sync": dataclasses.replace(spec.sync)},
+        lambda spec: {"smt_level": 2},
+        lambda spec: {"n_threads": 16},
+        lambda spec: {"system": SystemSpec(P7, 2)},
+        lambda spec: {"useful_instructions": 2 * spec.useful_instructions},
+    ], ids=["stream-identity", "sync-identity", "level", "threads", "chips", "work"])
+    def test_layout_changes_do_not_reuse_it(self, cold_memo, change):
+        base = _catalog_spec("SSCA2", 4)
+        kept = _kept([base])
+        spec = dataclasses.replace(base, **change(base))
+        for _ in range(3):
+            other = ScenarioTable([spec])
+            assert other.row_mix is not kept.row_mix
+            assert other.run_work is not kept.run_work
+        assert_equivalent([spec], other.run())
+
+    def test_multi_run_order_is_part_of_the_layout(self, cold_memo):
+        specs = [_catalog_spec("EP", 4), _catalog_spec("SSCA2", 2)]
+        kept = _kept(specs)
+        assert ScenarioTable(specs[::-1]).row_mix is not kept.row_mix
+        assert _kept(specs[::-1]).row_mix is not kept.row_mix
+
+    def test_template_arrays_are_read_only(self, cold_memo):
+        table = _kept([_catalog_spec("SPECjbb_contention", 4)])
+        arrays = {name: value for name, value in vars(table).items()
+                  if isinstance(value, np.ndarray) and name != "run_noise"}
+        assert arrays
+        assert not [name for name, value in arrays.items() if value.flags.writeable]
+        with pytest.raises(ValueError):
+            table.row_mix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.run_work[0] = 1.0

@@ -168,6 +168,18 @@ def fresh_streams(seed=11):
     return [RngStream(seed + i, k) for i, k in enumerate(keys)]
 
 
+def large_groups(seed=11):
+    """Unseeded streams in groups of three entropy lengths, each group
+    four times the size that takes the vectorised pass."""
+    keys = [("run",), ("run", "power7", 4), ("fleet", "node", "counters", "noise")]
+    n = 4 * rng_module._BATCH_MIN
+    return [RngStream(seed + i, k + (i,)) for k in keys for i in range(n)]
+
+
+def seeded_through_state_words(stream):
+    return isinstance(stream._gen.bit_generator.seed_seq, rng_module._StateWords)
+
+
 def draws(stream):
     return (stream.random(5), stream.normal(0.0, 2.0, 5),
             stream.integers(0, 1000, 5))
@@ -230,4 +242,39 @@ class TestBatchSeeding:
         assert rng_module._fast_seeding is False
         assert all(s._gen is not None for s in batch)
         for a, b in zip(batch, fresh_streams()):
+            assert_same_draws(a, b)
+
+    def test_large_groups_take_the_vectorised_pass(self):
+        batch = large_groups()
+        seed_streams(batch)
+        assert all(seeded_through_state_words(s) for s in batch)
+        for a, b in zip(batch, large_groups()):
+            assert_same_draws(a, b)
+
+    def test_large_group_self_check_mismatch_falls_back(self, monkeypatch):
+        monkeypatch.setattr(rng_module, "_fast_seeding", None)
+        monkeypatch.setattr(
+            rng_module, "_state_words",
+            lambda entropy: _state_words(entropy) ^ np.uint64(1),
+        )
+        batch = large_groups()
+        seed_streams(batch)
+        assert rng_module._fast_seeding is False
+        assert not any(seeded_through_state_words(s) for s in batch)
+        for a, b in zip(batch, large_groups()):
+            assert_same_draws(a, b)
+
+    @pytest.mark.parametrize("size, vectorised", [
+        (1, False),
+        (rng_module._BATCH_MIN - 1, False),
+        (rng_module._BATCH_MIN, True),
+    ])
+    def test_small_groups_seed_directly(self, size, vectorised):
+        def group():
+            return [RngStream(3 + i, ("run", "nehalem", 2, i)) for i in range(size)]
+
+        batch = group()
+        seed_streams(batch + [RngStream(2**33, ("wide", 0))])
+        assert [seeded_through_state_words(s) for s in batch] == [vectorised] * size
+        for a, b in zip(batch, group()):
             assert_same_draws(a, b)
