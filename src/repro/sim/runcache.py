@@ -41,34 +41,39 @@ Both memos key on object *identity* and pin the objects they key on
 differently, so a value-keyed memo would hand one spec the other's key.
 Registered architectures and catalog workloads are shared instances,
 so repeated sweeps hit; each memo is cleared when it reaches its cap.
-``tests/sim/test_runcache.py`` pins key and payload bytes written by
+``tests/sim/test_runcache.py`` pins key and record bytes written by
 earlier versions, so existing entries stay addressable.
 
 Entries live under ``results/.runcache/`` by default;
 override with the ``REPRO_RUNCACHE_DIR`` environment variable or the
 constructor argument, and disable default use entirely by setting
-``REPRO_RUNCACHE=0``.  Stored payloads carry the full result (times,
-counter events, per-thread IPC), so a cache hit reconstructs a
-:class:`RunResult` that is exactly equal to the recomputed one.
+``REPRO_RUNCACHE=0``.  Each entry, ``<key>.bin``, is one little-endian
+record of the full result (times, counter events, per-thread IPC; the
+layout is at :func:`_encode`), so a hit rebuilds a :class:`RunResult`
+exactly equal to the recomputed one with one ``struct`` unpack.
+Entries of the old JSON layout (``<key>.json``) are never read;
+:meth:`RunCache.clear` removes them.
 
 **Multi-process safety.**  The serving tier's worker pool has many
 processes reading and writing one cache directory concurrently, with
 no lock.  Three rules make that safe:
 
-* *Atomic publish*: :meth:`RunCache.put` writes the payload to an
+* *Atomic publish*: :meth:`RunCache.put` writes the record to an
   exclusive ``mkstemp`` temp file in the cache directory and publishes
   it with ``os.replace`` — atomic within a filesystem — so a reader
   sees either no entry or a complete entry, never a torn half-write.
   Concurrent writers of the same key are last-write-wins, which is
-  harmless: the payload is a pure function of the key.
-* *Schema-checked reads*: every :meth:`RunCache.get` validates the
-  stored ``schema`` stamp and the full field set before trusting the
-  bytes; anything malformed is counted (``runcache.corrupt`` /
-  ``runcache.schema_mismatch``), deleted, and treated as a miss —
-  unlinking is itself atomic, so racing readers degrade to misses.
+  harmless: the record is a pure function of the key.
+* *Checked reads*: every :meth:`RunCache.get` checks the stamp, that
+  the length and the names agree with the counts, and the
+  ``RunResult``/``TimeAccounting`` validation before trusting the
+  bytes; anything malformed is counted (``runcache.corrupt``, or
+  ``runcache.schema_mismatch`` for the right magic with another
+  schema), deleted, and treated as a miss — unlinking is itself
+  atomic, so racing readers degrade to misses.
 * *Crash-safe cleanup*: a writer killed between ``mkstemp`` and
   ``os.replace`` leaves only an orphaned ``*.tmp`` file that no reader
-  ever looks at (``get`` resolves ``*.json`` paths only);
+  ever looks at (``get`` resolves ``*.bin`` paths only);
   :meth:`RunCache.clear` sweeps such stragglers.
 
 ``tests/sim/test_runcache_concurrent.py`` hammers these guarantees
@@ -80,6 +85,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -271,54 +277,73 @@ def run_cache_key(spec) -> str:
     return digest.hexdigest()
 
 
-#: Version of the stored-payload *format* (distinct from
+#: Version of the stored-record *format* (distinct from
 #: :data:`MODEL_VERSION`, which fingerprints solver behaviour and is
-#: part of the key).  Bump whenever ``_result_payload`` changes shape so
-#: that entries written by an older layout are rejected instead of
-#: silently deserializing into wrong fields.
-PAYLOAD_SCHEMA = 2
+#: part of the key).  Bump whenever the record layout changes so that
+#: entries written by an older layout are rejected instead of silently
+#: deserializing into wrong fields.
+PAYLOAD_SCHEMA = 3
+
+#: Every entry file is ``<key>`` + this suffix.
+ENTRY_SUFFIX = ".bin"
+
+_MAGIC = b"RUNR"
+_STAMP = _MAGIC + struct.pack("<I", PAYLOAD_SCHEMA)
+_COUNTS = struct.Struct("<4q3I")
+_HEAD = len(_STAMP) + _COUNTS.size
+_SEP = b"\xff"  # never occurs in UTF-8
+_N_SCALARS = 10  # floats ahead of the events
 
 
-def _result_payload(result: RunResult) -> Dict[str, Any]:
-    times = result.times
-    return {
-        "schema": PAYLOAD_SCHEMA,
-        "smt_level": result.smt_level,
-        "n_threads": result.n_threads,
-        "n_chips": result.n_chips,
-        "useful_instructions": result.useful_instructions,
-        "times": {
-            "wall_time_s": times.wall_time_s,
-            "serial_time_s": times.serial_time_s,
-            "parallel_time_s": times.parallel_time_s,
-            "total_cpu_s": times.total_cpu_s,
-            "n_threads": times.n_threads,
-        },
-        "events": dict(result.events),
-        "spin_fraction": result.spin_fraction,
-        "blocked_fraction": result.blocked_fraction,
-        "mem_latency_mult": result.mem_latency_mult,
-        "mem_utilization": result.mem_utilization,
-        "per_thread_ipc": list(result.per_thread_ipc),
-        "dispatch_held_fraction": result.dispatch_held_fraction,
-    }
+def _encode(result: RunResult) -> bytes:
+    """The little-endian record of ``result``: the stamp; the four int
+    fields (``int64``); the event, IPC and name-byte counts (``uint32``);
+    the event names in key order, UTF-8, joined by ``0xFF``; one
+    ``float64`` block of the scalars, the events and ``per_thread_ipc``.
+    """
+    times, events, ipc = result.times, result.events, result.per_thread_ipc
+    names = _SEP.join(name.encode() for name in events)
+    floats = (
+        result.useful_instructions, times.wall_time_s, times.serial_time_s,
+        times.parallel_time_s, times.total_cpu_s, result.spin_fraction,
+        result.blocked_fraction, result.mem_latency_mult,
+        result.mem_utilization, result.dispatch_held_fraction,
+        *events.values(), *ipc,
+    )
+    return b"".join((
+        _STAMP,
+        _COUNTS.pack(result.smt_level, result.n_threads, result.n_chips,
+                     times.n_threads, len(events), len(ipc), len(names)),
+        names,
+        struct.pack(f"<{len(floats)}d", *floats),
+    ))
 
 
-def _result_from_payload(payload: Dict[str, Any], arch: Architecture) -> RunResult:
+def _decode(data: bytes, arch: Architecture) -> RunResult:
+    """The result a stamped record holds; raises if it is malformed."""
+    (smt_level, n_threads, n_chips, times_threads,
+     n_events, n_ipc, n_names) = _COUNTS.unpack_from(data, len(_STAMP))
+    start = _HEAD + n_names
+    n_floats = _N_SCALARS + n_events + n_ipc
+    names = data[_HEAD:start].split(_SEP) if n_events else []
+    if len(data) != start + 8 * n_floats or len(names) != n_events:
+        raise ValueError("record length or names disagree with its counts")
+    values = struct.unpack_from(f"<{n_floats}d", data, start)
+    split = _N_SCALARS + n_events
     return RunResult(
         arch=arch,
-        smt_level=int(payload["smt_level"]),
-        n_threads=int(payload["n_threads"]),
-        n_chips=int(payload["n_chips"]),
-        useful_instructions=float(payload["useful_instructions"]),
-        times=TimeAccounting(**payload["times"]),
-        events=dict(payload["events"]),
-        spin_fraction=float(payload["spin_fraction"]),
-        blocked_fraction=float(payload["blocked_fraction"]),
-        mem_latency_mult=float(payload["mem_latency_mult"]),
-        mem_utilization=float(payload["mem_utilization"]),
-        per_thread_ipc=tuple(map(float, payload["per_thread_ipc"])),
-        dispatch_held_fraction=float(payload["dispatch_held_fraction"]),
+        smt_level=smt_level,
+        n_threads=n_threads,
+        n_chips=n_chips,
+        useful_instructions=values[0],
+        times=TimeAccounting(*values[1:5], times_threads),
+        events=dict(zip(map(bytes.decode, names), values[_N_SCALARS:split])),
+        spin_fraction=values[5],
+        blocked_fraction=values[6],
+        mem_latency_mult=values[7],
+        mem_utilization=values[8],
+        per_thread_ipc=values[split:],
+        dispatch_held_fraction=values[9],
     )
 
 
@@ -333,15 +358,15 @@ class RunCache:
     def __init__(self, root: Optional[os.PathLike] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self.root}{os.sep}{key}{ENTRY_SUFFIX}"
 
     def key(self, spec) -> str:
         return run_cache_key(spec)
 
     def _discard(self, key: str) -> None:
         try:
-            self._path(key).unlink()
+            os.unlink(self._path(key))
         except OSError:  # pragma: no cover - racing eviction
             pass
 
@@ -351,33 +376,34 @@ class RunCache:
         Telemetry: ``runcache.hits`` / ``runcache.misses`` count lookup
         outcomes; a present-but-malformed entry additionally counts as
         ``runcache.corrupt`` and is *deleted* — it behaves as a miss
-        once, instead of being re-parsed (and re-missed) on every
-        sweep until someone clears the cache by hand.  An entry whose
-        stored ``schema`` differs from :data:`PAYLOAD_SCHEMA` (written
-        by an older/newer layout) is likewise deleted and counted as
-        ``runcache.schema_mismatch``.
+        once, instead of being re-read (and re-missed) on every
+        sweep until someone clears the cache by hand.  A record whose
+        stamp carries another schema than :data:`PAYLOAD_SCHEMA`
+        (written by an older/newer layout) is likewise deleted and
+        counted as ``runcache.schema_mismatch``.
         """
         tracer = get_tracer()
         key = run_cache_key(spec)
         try:
-            with open(f"{self.root}{os.sep}{key}.json", "rb", buffering=0) as handle:
+            with open(self._path(key), "rb", buffering=0) as handle:
                 data = handle.read()
         except OSError:
             tracer.add("runcache.misses")
             return None
-        try:
-            payload = json.loads(data)
-            if (not isinstance(payload, dict)
-                    or payload.get("schema") != PAYLOAD_SCHEMA):
-                # A different (or pre-versioning) payload layout: the
-                # fields may parse but mean something else.  Refuse it.
-                tracer.add("runcache.misses")
+        if not data.startswith(_STAMP):
+            tracer.add("runcache.misses")
+            if data.startswith(_MAGIC) and len(data) >= len(_STAMP):
+                # Another record layout: the bytes may unpack but mean
+                # something else.  Refuse it.
                 tracer.add("runcache.schema_mismatch")
-                self._discard(key)
-                return None
-            result = _result_from_payload(payload, spec.system.arch)
-        except (ValueError, KeyError, TypeError):
-            # ValueError covers undecodable bytes (UnicodeDecodeError).
+            else:
+                tracer.add("runcache.corrupt")
+            self._discard(key)
+            return None
+        try:
+            result = _decode(data, spec.system.arch)
+        except (ValueError, struct.error):
+            # Also names that are not UTF-8 and refused field values.
             tracer.add("runcache.misses")
             tracer.add("runcache.corrupt")
             self._discard(key)
@@ -390,11 +416,11 @@ class RunCache:
         get_tracer().add("runcache.puts")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(_result_payload(result))
+            record = _encode(result)
             fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(payload)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(record)
                 os.replace(tmp, self._path(run_cache_key(spec)))
             except BaseException:
                 try:
@@ -408,20 +434,22 @@ class RunCache:
     def clear(self) -> int:
         """Delete every cache entry; returns the number removed.
 
-        Also sweeps orphaned ``*.tmp`` files — the droppings of a
-        writer killed between ``mkstemp`` and the atomic publish
-        (counted separately as ``runcache.tmp_swept``, not in the
-        return value).
+        Legacy ``*.json`` entries (payload schema 2 and older, never
+        read) count as entries.  Also sweeps orphaned ``*.tmp`` files —
+        the droppings of a writer killed between ``mkstemp`` and the
+        atomic publish (counted separately as ``runcache.tmp_swept``,
+        not in the return value).
         """
         removed = 0
         swept = 0
         try:
-            for path in self.root.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            for pattern in ("*" + ENTRY_SUFFIX, "*.json"):
+                for path in self.root.glob(pattern):
+                    try:
+                        path.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
             for path in self.root.glob("*.tmp"):
                 try:
                     path.unlink()
@@ -438,6 +466,6 @@ class RunCache:
 
     def __len__(self) -> int:
         try:
-            return sum(1 for _ in self.root.glob("*.json"))
+            return sum(1 for _ in self.root.glob("*" + ENTRY_SUFFIX))
         except OSError:
             return 0

@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from repro.arch import get_architecture, nehalem, power7
+from repro.arch import get_architecture, list_architectures, nehalem, power7
 from repro.arch.classes import Mix
-from repro.experiments.runner import resolve_system, run_catalog
+from repro.experiments.runner import Strategy, resolve_system, run_catalog
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.results import RunResult
 from repro.sim.runcache import (
+    ENTRY_SUFFIX,
     MODEL_VERSION,
     PAYLOAD_SCHEMA,
     RunCache,
@@ -120,6 +122,36 @@ class TestCacheKey:
         assert before != after
 
 
+#: The first eight bytes of every record of the current layout: the
+#: magic and the little-endian schema stamp.
+STAMP = b"RUNR" + PAYLOAD_SCHEMA.to_bytes(4, "little")
+#: Where the names start: the stamp, four int64 fields, three uint32 counts.
+NAMES_OFFSET = 8 + 4 * 8 + 3 * 4
+
+
+def entry_path(root, spec):
+    return root / f"{run_cache_key(spec)}{ENTRY_SUFFIX}"
+
+
+def counted_get(cache, spec):
+    """``cache.get(spec)`` and the run-cache counters it moved."""
+    from repro.obs import configure
+
+    tracer = configure(enabled=True)
+    tracer.reset()
+    try:
+        got = cache.get(spec)
+        counters = {name: value for name, value in tracer.counters().items()
+                    if name.startswith("runcache.")}
+    finally:
+        configure(enabled=False)
+        tracer.reset()
+    return got, counters
+
+
+CORRUPT_MISS = {"runcache.corrupt": 1, "runcache.misses": 1}
+
+
 class TestCacheStore:
     def test_miss_then_hit_roundtrip(self, tmp_path):
         cache = RunCache(tmp_path)
@@ -142,29 +174,17 @@ class TestCacheStore:
         cache = RunCache(tmp_path)
         spec = make_spec()
         cache.put(spec, simulate_run(spec))
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        path.write_text("{not json")
+        entry_path(tmp_path, spec).write_text("{not json")
         assert cache.get(spec) is None
 
     def test_corrupt_entry_is_deleted_and_counted(self, tmp_path):
-        from repro.obs import configure
-
         cache = RunCache(tmp_path)
         spec = make_spec()
         result = simulate_run(spec)
         cache.put(spec, result)
-        path = tmp_path / f"{run_cache_key(spec)}.json"
+        path = entry_path(tmp_path, spec)
         path.write_text("{not json")
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            assert cache.get(spec) is None
-            counters = tracer.counters()
-            assert counters.get("runcache.corrupt") == 1
-            assert counters.get("runcache.misses") == 1
-        finally:
-            configure(enabled=False)
-            tracer.reset()
+        assert counted_get(cache, spec) == (None, CORRUPT_MISS)
         # The bad entry is gone: a re-put works and the next get hits.
         assert not path.exists()
         cache.put(spec, result)
@@ -173,42 +193,35 @@ class TestCacheStore:
         assert_results_equal(cached, result)
 
     def test_valid_payload_with_missing_key_is_corrupt(self, tmp_path):
-        # Malformed means structurally wrong too, not just bad JSON.
+        # Malformed means structurally wrong too, not just bad bytes: a
+        # record of the right length whose names count disagrees with
+        # its event count (two names run together) is corrupt.
         cache = RunCache(tmp_path)
         spec = make_spec()
         cache.put(spec, simulate_run(spec))
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        payload = json.loads(path.read_text())
-        del payload["times"]
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None
+        path = entry_path(tmp_path, spec)
+        data = path.read_bytes()
+        sep = data.index(b"\xff", NAMES_OFFSET)
+        path.write_bytes(data[:sep] + b"_" + data[sep + 1:])
+        assert counted_get(cache, spec) == (None, CORRUPT_MISS)
         assert not path.exists()
 
     def test_stale_schema_entry_is_rejected(self, tmp_path):
-        # An entry written under a different payload layout may parse
+        # An entry written under a different record layout may unpack
         # cleanly yet mean something else; it must never deserialize.
-        from repro.obs import configure
-
         cache = RunCache(tmp_path)
         spec = make_spec()
         result = simulate_run(spec)
         cache.put(spec, result)
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == PAYLOAD_SCHEMA
-        payload["schema"] = PAYLOAD_SCHEMA - 1
-        path.write_text(json.dumps(payload))
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            assert cache.get(spec) is None
-            counters = tracer.counters()
-            assert counters.get("runcache.schema_mismatch") == 1
-            assert counters.get("runcache.misses") == 1
-            assert counters.get("runcache.corrupt") is None
-        finally:
-            configure(enabled=False)
-            tracer.reset()
+        path = entry_path(tmp_path, spec)
+        data = path.read_bytes()
+        assert data[:8] == STAMP
+        stale = (PAYLOAD_SCHEMA - 1).to_bytes(4, "little")
+        path.write_bytes(data[:4] + stale + data[8:])
+        got, counters = counted_get(cache, spec)
+        assert got is None
+        assert counters == {"runcache.schema_mismatch": 1,
+                            "runcache.misses": 1}
         # Deleted on first sight, so a fresh put repopulates cleanly.
         assert not path.exists()
         cache.put(spec, result)
@@ -217,45 +230,61 @@ class TestCacheStore:
         assert_results_equal(cached, result)
 
     def test_pre_versioning_entry_is_rejected(self, tmp_path):
-        # Entries from before the schema field existed carry no marker
-        # at all — those are exactly the "stale format" class.
+        # A JSON payload of the old layout (with or without its schema
+        # field) carries no record magic at all: it is corrupt, deleted.
         cache = RunCache(tmp_path)
         spec = make_spec()
-        cache.put(spec, simulate_run(spec))
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        payload = json.loads(path.read_text())
-        del payload["schema"]
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None
-        assert not path.exists()
+        path = entry_path(tmp_path, spec)
+        legacy = json.loads(LEGACY_JSON_PAYLOAD)
+        for payload in (legacy, {k: v for k, v in legacy.items()
+                                 if k != "schema"}):
+            path.write_text(json.dumps(payload))
+            assert counted_get(cache, spec) == (None, CORRUPT_MISS)
+            assert not path.exists()
 
     def test_undecodable_entry_is_deleted_and_counted(self, tmp_path):
-        # Bytes that are not text at all (no valid UTF-8/16/32) are just
-        # another corrupt entry, never an exception out of the sweep.
-        from repro.obs import configure
+        # Bytes that are not a record at all, and a record whose names
+        # are not UTF-8, are just more corrupt entries, never an
+        # exception out of the sweep.
+        cache = RunCache(tmp_path)
+        spec = make_spec()
+        result = simulate_run(spec)
+        cache.put(spec, result)
+        path = entry_path(tmp_path, spec)
+        data = path.read_bytes()
+        bad_names = data[:NAMES_OFFSET] + b"\xfe" + data[NAMES_OFFSET + 1:]
+        for garbage in (b"\xff\xfe{garbage", bad_names):
+            path.write_bytes(garbage)
+            assert counted_get(cache, spec) == (None, CORRUPT_MISS)
+            assert not path.exists()
 
+    def test_torn_record_is_deleted_and_counted(self, tmp_path):
+        # Every prefix of a valid record (a torn write) is a counted,
+        # deleted miss, and never decodes into a result.
         cache = RunCache(tmp_path)
         spec = make_spec()
         cache.put(spec, simulate_run(spec))
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        path.write_bytes(b"\xff\xfe{garbage")
-        tracer = configure(enabled=True)
-        tracer.reset()
-        try:
-            assert cache.get(spec) is None
-            counters = tracer.counters()
-            assert counters.get("runcache.corrupt") == 1
-            assert counters.get("runcache.misses") == 1
-        finally:
-            configure(enabled=False)
-            tracer.reset()
+        path = entry_path(tmp_path, spec)
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            assert counted_get(cache, spec) == (None, CORRUPT_MISS), size
+            assert not path.exists()
+
+    def test_bad_magic_is_deleted_and_counted(self, tmp_path):
+        cache = RunCache(tmp_path)
+        spec = make_spec()
+        cache.put(spec, simulate_run(spec))
+        path = entry_path(tmp_path, spec)
+        path.write_bytes(b"RUNX" + path.read_bytes()[4:])
+        assert counted_get(cache, spec) == (None, CORRUPT_MISS)
         assert not path.exists()
 
     def test_undecodable_entries_do_not_fail_a_sweep(self, tmp_path):
         cache = RunCache(tmp_path)
         catalog = {name: get_workload(name) for name in ("EP", "CG")}
         fresh = run_catalog("p7", catalog, (1, 2), cache=cache)
-        paths = sorted(tmp_path.glob("*.json"))
+        paths = sorted(tmp_path.glob("*" + ENTRY_SUFFIX))
         assert len(paths) == 4
         for path in paths:
             path.write_bytes(b"\xff\xfe{garbage")
@@ -264,10 +293,9 @@ class TestCacheStore:
         for name, by_level in fresh.runs.items():
             for level, result in by_level.items():
                 assert_results_equal(again.runs[name][level], result)
-        # Re-solved and written back: every entry is valid JSON again.
-        assert sorted(tmp_path.glob("*.json")) == paths
-        assert all(json.loads(path.read_bytes())["schema"] == PAYLOAD_SCHEMA
-                   for path in paths)
+        # Re-solved and written back: every entry is a current record.
+        assert sorted(tmp_path.glob("*" + ENTRY_SUFFIX)) == paths
+        assert all(path.read_bytes()[:8] == STAMP for path in paths)
 
     def test_clear(self, tmp_path):
         cache = RunCache(tmp_path)
@@ -277,14 +305,24 @@ class TestCacheStore:
         assert len(cache) == 0
         assert cache.get(spec) is None
 
-    def test_payload_is_plain_json(self, tmp_path):
+    def test_legacy_json_entry_is_never_read(self, tmp_path):
+        # A ``<key>.json`` entry of the old layout beside the record is
+        # neither read nor counted as an entry; clear() removes it.
         cache = RunCache(tmp_path)
         spec = make_spec()
-        cache.put(spec, simulate_run(spec))
-        payload = json.loads(
-            (tmp_path / f"{run_cache_key(spec)}.json").read_text()
-        )
-        assert set(payload) >= {"times", "events", "per_thread_ipc"}
+        legacy = tmp_path / f"{run_cache_key(spec)}.json"
+        legacy.write_bytes(LEGACY_JSON_PAYLOAD)
+        assert counted_get(cache, spec) == (None, {"runcache.misses": 1})
+        assert len(cache) == 0
+        result = simulate_run(spec)
+        cache.put(spec, result)
+        got, counters = counted_get(cache, spec)
+        assert_results_equal(got, result)
+        assert counters == {"runcache.hits": 1}
+        assert legacy.read_bytes() == LEGACY_JSON_PAYLOAD
+        assert len(cache) == 1
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_root_is_silent(self, tmp_path):
         blocker = tmp_path / "blocked"
@@ -293,6 +331,90 @@ class TestCacheStore:
         spec = make_spec()
         cache.put(spec, simulate_run(spec))  # must not raise
         assert cache.get(spec) is None
+
+
+def float_fields(result):
+    """Every float a result carries, in a fixed order."""
+    times = result.times
+    return [result.useful_instructions, times.wall_time_s,
+            times.serial_time_s, times.parallel_time_s, times.total_cpu_s,
+            result.spin_fraction, result.blocked_fraction,
+            result.mem_latency_mult, result.mem_utilization,
+            result.dispatch_held_fraction, *result.events.values(),
+            *result.per_thread_ipc]
+
+
+def assert_round_trip_exact(got, result, useful_type=float):
+    """``got`` is ``result`` bit for bit, type for type, key for key.
+
+    ``useful_type`` is the type ``result.useful_instructions`` has (a
+    hit always reads it back as a float).
+    """
+    assert got.arch is result.arch
+    for field in dataclasses.fields(RunResult):
+        if field.name not in ("arch", "useful_instructions"):
+            assert (type(getattr(got, field.name))
+                    is type(getattr(result, field.name))), field.name
+    assert type(result.useful_instructions) is useful_type
+    assert type(got.useful_instructions) is float
+    for field in dataclasses.fields(TimeAccounting):
+        assert (type(getattr(got.times, field.name))
+                is type(getattr(result.times, field.name))), field.name
+    assert (got.smt_level, got.n_threads, got.n_chips, got.times.n_threads) == (
+        result.smt_level, result.n_threads, result.n_chips,
+        result.times.n_threads)
+    assert list(got.events) == list(result.events)
+    expected = float_fields(result)
+    expected[0] = float(expected[0])
+    assert [type(v) for v in float_fields(got)] == [float] * len(expected)
+    assert [v.hex() for v in float_fields(got)] == [v.hex() for v in expected]
+
+
+class TestExactness:
+    """A hit rebuilds the stored result exactly: every float's bits,
+    every field's type, the order of the event keys."""
+
+    @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+    def test_every_catalog_round_trips(self, tmp_path, strategy):
+        from repro.obs import configure
+
+        cache = RunCache(tmp_path)
+        for name in list_architectures():
+            fresh = run_catalog(name, strategy=strategy, cache=cache)
+            tracer = configure(enabled=True)
+            tracer.reset()
+            try:
+                again = run_catalog(name, strategy=strategy, cache=cache)
+                hits = tracer.counters().get("runcache.hits")
+            finally:
+                configure(enabled=False)
+                tracer.reset()
+            assert fresh.failures == again.failures == {}
+            assert hits == sum(map(len, fresh.runs.values())), name
+            for workload, by_level in fresh.runs.items():
+                for level, result in by_level.items():
+                    assert_round_trip_exact(again.runs[workload][level], result)
+
+    def test_edge_values_round_trip(self, tmp_path):
+        spec = make_spec()
+        result = RunResult(
+            arch=spec.system.arch, smt_level=4, n_threads=32,
+            n_chips=2, useful_instructions=2**53 + 1,
+            times=TimeAccounting(wall_time_s=5e-324, serial_time_s=-0.0,
+                                 parallel_time_s=5e-324, total_cpu_s=5e-324,
+                                 n_threads=32),
+            events={"Z_LAST": -0.0, "A_SUBNORMAL": 5e-324, "NAN": math.nan,
+                    "INF": math.inf, "NEG": -1.5, "\u00e9v\u00e9nement": 1.0},
+            spin_fraction=-0.0, blocked_fraction=0.0,
+            mem_latency_mult=math.inf, mem_utilization=math.nan,
+            per_thread_ipc=(0.1, -0.0, 5e-324, math.nan),
+            dispatch_held_fraction=math.nan,
+        )
+        cache = RunCache(tmp_path)
+        cache.put(spec, result)
+        got = cache.get(spec)
+        assert_round_trip_exact(got, result, useful_type=int)
+        assert got.useful_instructions == float(2**53 + 1)
 
 
 #: A workload spelled out in literals, so the pins below move only when
@@ -359,7 +481,34 @@ PINNED_KEYS = [
 ]
 
 #: The exact bytes ``put`` writes for :func:`pinned_result`.
-PINNED_PAYLOAD = (
+PINNED_PAYLOAD = bytes.fromhex(
+    "52554e52" "03000000"      # magic "RUNR", PAYLOAD_SCHEMA 3
+    "0200000000000000"         # smt_level 2
+    "1000000000000000"         # n_threads 16
+    "0100000000000000"         # n_chips 1
+    "1000000000000000"         # times.n_threads 16
+    "02000000" "02000000"      # 2 events, 2 per-thread IPCs
+    "17000000"                 # 23 bytes of names
+) + b"PM_RUN_CYC\xffPM_INST_CMPL" + bytes.fromhex(
+    "000000205fa01242"         # useful_instructions 2e10
+    "000000000000f83f"         # wall_time_s 1.5
+    "000000000000c03f"         # serial_time_s 0.125
+    "000000000000f63f"         # parallel_time_s 1.375
+    "0000000000403440"         # total_cpu_s 20.25
+    "000000000000b03f"         # spin_fraction 0.0625
+    "000000000000a03f"         # blocked_fraction 0.03125
+    "333333333333f33f"         # mem_latency_mult 1.2
+    "cdccccccccccdc3f"         # mem_utilization 0.45
+    "9a9999999999b93f"         # dispatch_held_fraction 0.1
+    "000000c00b5af641"         # PM_RUN_CYC 6e9
+    "000000e876481742"         # PM_INST_CMPL 2.5e10
+    "000000000000e83f"         # per_thread_ipc 0.75
+    "000000000000e03f"         #                0.5
+)
+
+#: What schema-2 code wrote for :func:`pinned_result`, as
+#: ``<key>.json``: the old layout, which is never read any more.
+LEGACY_JSON_PAYLOAD = (
     b'{"schema": 2, "smt_level": 2, "n_threads": 16, "n_chips": 1, '
     b'"useful_instructions": 20000000000.0, "times": {"wall_time_s": 1.5, '
     b'"serial_time_s": 0.125, "parallel_time_s": 1.375, "total_cpu_s": 20.25, '
@@ -417,8 +566,7 @@ class TestPinnedBytes:
         result = pinned_result()
         cache = RunCache(tmp_path)
         cache.put(spec, result)
-        path = tmp_path / f"{run_cache_key(spec)}.json"
-        assert path.read_bytes() == PINNED_PAYLOAD
+        assert entry_path(tmp_path, spec).read_bytes() == PINNED_PAYLOAD
         assert_results_equal(cache.get(spec), result)
 
 

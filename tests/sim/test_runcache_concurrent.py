@@ -8,7 +8,7 @@ and re-reads the *same* key set simultaneously — and assert the three
 guarantees docs/scaling.md relies on:
 
 * no torn reads: every ``get`` returns either ``None`` or a complete,
-  schema-valid payload (``runcache.corrupt`` and
+  schema-valid record (``runcache.corrupt`` and
   ``runcache.schema_mismatch`` stay zero in every process);
 * no lost entries: after the storm, every key resolves to the exact
   result any single process would have written;
@@ -16,14 +16,18 @@ guarantees docs/scaling.md relies on:
   ``clear()`` sweeps ones a killed writer would leave.
 """
 
-import json
 import multiprocessing
 import os
 
 import pytest
 
 from repro.sim.engine import RunSpec, simulate_run
-from repro.sim.runcache import PAYLOAD_SCHEMA, RunCache, run_cache_key
+from repro.sim.runcache import (
+    ENTRY_SUFFIX,
+    PAYLOAD_SCHEMA,
+    RunCache,
+    run_cache_key,
+)
 from repro.simos import SystemSpec
 from repro.util.rng import RngStream
 from repro.workloads.synthetic import random_workload
@@ -131,15 +135,19 @@ class TestConcurrentWriters:
 
     def test_interleaved_readers_see_valid_schema_only(self, cache_dir):
         # Readers racing a writer never observe a partially-written
-        # payload: each on-disk entry parses and carries the schema
-        # stamp at every instant after its first publish.
+        # record: each on-disk entry carries the magic and schema stamp
+        # and decodes whole at every instant after its first publish.
         cache = RunCache(cache_dir)
         spec = make_specs(1)[0]
         result = simulate_run(spec)
         cache.put(spec, result)
-        path = cache_dir / f"{run_cache_key(spec)}.json"
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == PAYLOAD_SCHEMA
+        path = cache_dir / f"{run_cache_key(spec)}{ENTRY_SUFFIX}"
+        stamp = b"RUNR" + PAYLOAD_SCHEMA.to_bytes(4, "little")
+        assert path.read_bytes()[:8] == stamp
+        got = cache.get(spec)
+        assert got is not None
+        assert dict(got.events) == dict(result.events)
+        assert got.per_thread_ipc == result.per_thread_ipc
 
     def test_clear_sweeps_orphaned_tmp_files(self, cache_dir):
         # A writer killed mid-put leaves an exclusive *.tmp file; clear()
