@@ -32,8 +32,10 @@ and the counters read.
 
 Callers re-solve the same run layouts at fresh seeds (sweeps, checks,
 the fleet perf model, served predicts), so the seed-independent columns
-of a table are kept as a *template* per layout (``_TEMPLATES``) and
-copied by later tables with that layout; see :class:`ScenarioTable`.
+of a table and its converged :class:`TableState` are kept as a
+*template* per layout (``_TEMPLATES``) and reused by later tables with
+that layout, which then only draw their seeds' noise in ``finalize``;
+see :class:`ScenarioTable`.
 """
 
 from __future__ import annotations
@@ -285,10 +287,12 @@ class _View:
 #: Table templates, keyed by :func:`_template_key`, least recently used
 #: first.  A template is the ``vars()`` of a table built with its key:
 #: every column that depends on neither a run's seed nor its
-#: ``noise_rel``, its arrays read-only.  It pins the architecture,
-#: streams and sync profiles its key names by ``id``, so no id can be
-#: reused while the entry lives.  Serial rates are not in it: they stay
-#: in ``engine._SERIAL_RATE_CACHE``.
+#: ``noise_rel``, its arrays read-only; once a table with the key has
+#: run, also its converged :class:`TableState` (``"_state"``), which the
+#: fixed point computes from those columns alone.  It pins the
+#: architecture, streams and sync profiles its key names by ``id``, so no
+#: id can be reused while the entry lives.  Serial rates are not in it:
+#: they stay in ``engine._SERIAL_RATE_CACHE``.
 _TEMPLATES: "OrderedDict[Tuple[int, tuple], Dict[str, Any]]" = OrderedDict()
 _TEMPLATE_MAX = 64
 #: Hashes of the keys built once and not kept.  A key's template is
@@ -313,9 +317,10 @@ def _template_key(arch, specs: Sequence[RunSpec]) -> Tuple[int, tuple]:
     ])
 
 
-def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> None:
+def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> Optional[Dict[str, Any]]:
     """Mark ``columns`` read-only, and keep them as ``key``'s template if
-    the key was seen before (evicting the least recently used one)."""
+    the key was seen before (evicting the least recently used one).
+    Returns the kept template, or ``None``."""
     for value in columns.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -325,11 +330,12 @@ def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> None:
             if len(_SEEN_ONCE) >= _SEEN_ONCE_MAX:
                 _SEEN_ONCE.clear()
             _SEEN_ONCE.add(digest)
-            return
+            return None
         _SEEN_ONCE.discard(digest)
         while len(_TEMPLATES) >= _TEMPLATE_MAX:
             _TEMPLATES.popitem(last=False)
-        _TEMPLATES[key] = dict(columns)
+        template = _TEMPLATES[key] = dict(columns)
+        return template
 
 
 class ScenarioTable:
@@ -342,7 +348,9 @@ class ScenarioTable:
     Everything the table computes that depends on neither a run's seed
     nor its ``noise_rel`` is its *template* (see :func:`_template_key`).
     Once a run layout has been built twice, later tables with it take
-    the template's columns, read-only, instead of rebuilding them.
+    the template's columns, read-only, instead of rebuilding them, and
+    :meth:`run` takes the template's converged state instead of driving
+    the fixed point again.
     """
 
     def __init__(self, specs: Sequence[RunSpec]):
@@ -363,11 +371,12 @@ class ScenarioTable:
         tracer = get_tracer()
         if template is None:
             self._build(arch, specs)
-            _remember(key, vars(self))  # before the per-seed fields below
+            template = _remember(key, vars(self))  # before the per-seed fields below
         else:
             self.__dict__.update(template)
             if tracer.enabled:
                 tracer.add("table.template_hits")
+        self._template = template
         self.specs = specs
         self.run_noise = np.array([spec.noise_rel for spec in specs])
         if tracer.enabled:
@@ -801,8 +810,24 @@ class ScenarioTable:
         ]
 
     def run(self) -> List[RunResult]:
-        """Drive the fixed point and finalize, columnar end to end."""
-        return self.finalize(self.drive())
+        """Drive the fixed point and finalize, columnar end to end.
+
+        The fixed point is a function of the template key alone, so a
+        kept template also keeps its converged state, read-only: later
+        tables with that layout only finalize.
+        """
+        template = self._template
+        state = None if template is None else template.get("_state")
+        if state is None:
+            state = self.drive()
+            if template is not None:
+                for value in vars(state).values():
+                    value.flags.writeable = False
+                with _TEMPLATE_LOCK:
+                    state = template.setdefault("_state", state)
+        elif get_tracer().enabled:
+            get_tracer().add("table.state_hits")
+        return self.finalize(state)
 
 
 def simulate_many_columnar(specs: Sequence[RunSpec]) -> List[RunResult]:

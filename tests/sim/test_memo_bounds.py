@@ -3,15 +3,18 @@
 The serial-rate memo and the run cache's per-architecture key memo are
 keyed by ``id(arch)``, its workload-rendering memo by the identities of
 a ``(stream, sync)`` pair, and the table-template memo by ``id(arch)``
-and every run's stream and sync identities.  Registered architectures
+and every run's stream and sync identities (a kept template also
+holds its layout's converged fixed point).  Registered architectures
 and catalog workloads are shared instances, so fresh sessions must
 reuse their entries rather than add new ones; freshly built
 architectures and streams must never push any memo past its cap.
 """
 
 import dataclasses
+import gc
 import sys
 import threading
+import weakref
 from collections import OrderedDict
 from unittest import mock
 
@@ -25,6 +28,7 @@ from repro.sim.table import ScenarioTable
 from repro.simos.system import SystemSpec
 from repro.workloads import get_workload
 from tests.arch.strategies import arch_strategy
+from tests.sim.test_table_pins import results_digest
 
 SMALL_CAP = 4
 
@@ -188,3 +192,73 @@ def test_threads_share_the_template_memo(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert 0 < len(table._TEMPLATES) <= SMALL_CAP
+
+
+def _layout(name, n_threads=None):
+    workload = get_workload(name)
+    system = SystemSpec(get_architecture("power7"), 1)
+    return [RunSpec(system=system, smt_level=level, stream=workload.stream,
+                    sync=workload.sync, n_threads=n_threads, seed=11)
+            for level in (1, 2, 4)]
+
+
+def _kept_state(specs):
+    return table._TEMPLATES[table._template_key(specs[0].system.arch, specs)]["_state"]
+
+
+def test_a_layout_built_once_stores_no_state(cold_memo):
+    specs = _layout("SPECjbb_contention")
+    once = ScenarioTable(specs)
+    once.run()
+    assert once._template is None and table._TEMPLATES == {}
+    kept = ScenarioTable(specs)
+    kept.run()
+    (template,) = table._TEMPLATES.values()
+    assert kept._template is template and "_state" in template
+
+
+def test_evicting_a_template_drops_its_state(cold_memo, monkeypatch):
+    monkeypatch.setattr(table, "_TEMPLATE_MAX", SMALL_CAP)
+    specs = _layout("SPECjbb_contention")
+    for _ in range(2):
+        ScenarioTable(specs).run()
+    state = weakref.ref(_kept_state(specs))
+    for n_threads in range(1, SMALL_CAP + 1):
+        newer = _layout("EP", n_threads=n_threads)
+        for _ in range(2):
+            ScenarioTable(newer).run()
+        gc.collect()
+        assert (state() is None) == (n_threads == SMALL_CAP)
+    assert len(table._TEMPLATES) == SMALL_CAP
+
+
+def test_threads_share_one_fixed_point(cold_memo):
+    specs = _layout("SPECjbb_contention") + _layout("EP")
+    expected = results_digest(ScenarioTable(specs).run())
+    table._SEEN_ONCE.clear()
+    rounds = 4   # first sight, the kept template, then state hits
+    barrier = threading.Barrier(4, timeout=60)
+    digests, errors = [], []
+
+    def solve(k):
+        try:
+            for _ in range(rounds):
+                barrier.wait()
+                digests.append(results_digest(ScenarioTable(specs).run()))
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert digests == [expected] * (4 * rounds)
+    assert _kept_state(specs) is not None

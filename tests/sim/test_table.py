@@ -17,8 +17,14 @@ import pytest
 import repro.api as api
 from repro.arch import nehalem, power7
 from repro.arch.hetero import get_hetero
+from repro.arch.registry import list_architectures
 from repro.check.differential import REL_TOL, compare_runs
-from repro.experiments.runner import run_catalog
+from repro.experiments.runner import (
+    DEFAULT_WORK,
+    _catalog_specs,
+    _default_catalog,
+    resolve_system,
+)
 from repro.fleet import perfmodel
 from repro.obs import configure
 from repro.sim import table as table_mod
@@ -29,7 +35,13 @@ from repro.simos import SystemSpec
 from repro.workloads import all_workloads
 
 from .helpers import balanced_stream, memory_stream, thrashy_fp_stream
-from .test_table_pins import SEEDS, results_digest
+from .test_table_pins import (
+    SEEDS,
+    _catalog_runs,
+    _lock_overflow_batch,
+    _traced,
+    results_digest,
+)
 
 
 #: One shared instance per architecture: a ScenarioTable groups rows by
@@ -129,13 +141,6 @@ class TestScenarioTable:
         assert compare_runs(first, second, rel_tol=0.0) == []
 
 
-@pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty template memo, restored afterwards."""
-    monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
-    monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
-
-
 def _kept(specs):
     """A table built from a layout's kept template: a layout's template
     is kept from its second table on."""
@@ -144,12 +149,18 @@ def _kept(specs):
     return ScenarioTable(specs)
 
 
+def _layout(name):
+    """A registered architecture's catalog at its levels, or the batch
+    whose spin-loop prediction is wrong (iteration 1 is re-solved)."""
+    if name == "lock-overflow":
+        return _lock_overflow_batch()
+    system = resolve_system(name)
+    catalog, levels = _default_catalog(system)
+    return [spec for _, _, spec in _catalog_specs(system, catalog, levels, 11, DEFAULT_WORK)]
+
+
 def _catalog_digest(alias, seed):
-    runs = run_catalog(alias, seed=seed, use_cache=False)
-    assert not runs.failures
-    return results_digest(
-        runs.runs[name][level] for name in sorted(runs.runs) for level in sorted(runs.runs[name])
-    )
+    return results_digest(_catalog_runs(alias, seed))
 
 
 class TestTemplates:
@@ -238,3 +249,34 @@ class TestTemplates:
             table.row_mix[0, 0] = 1.0
         with pytest.raises(ValueError):
             table.run_work[0] = 1.0
+
+    @pytest.mark.parametrize("name", [*list_architectures(), "lock-overflow"])
+    def test_kept_state_answers_like_an_empty_memo(self, name, monkeypatch):
+        layout = _layout(name)
+        for seed in (11, 2**32 + 7):
+            for noise in ({"noise_rel": 0.0}, {}):
+                specs = [dataclasses.replace(spec, seed=seed, **noise) for spec in layout]
+                monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
+                monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+                fresh = results_digest(ScenarioTable(specs).run())
+                # Two tables at another seed and noise keep the template
+                # and its state; the third table only finalizes.
+                for _ in range(2):
+                    ScenarioTable([dataclasses.replace(spec, seed=5) for spec in layout]).run()
+                results, counters = _traced(lambda: ScenarioTable(specs).run())
+                assert counters.get("table.state_hits") == 1
+                assert "table.solves" not in counters
+                assert results_digest(results) == fresh, (seed, noise)
+
+    def test_kept_state_is_read_only(self, cold_memo):
+        specs = [_catalog_spec("SPECjbb_contention", 4), _catalog_spec("EP", 2)]
+        for _ in range(2):
+            ScenarioTable(specs).run()
+        state = ScenarioTable(specs)._template["_state"]
+        arrays = vars(state)
+        assert arrays and all(isinstance(v, np.ndarray) for v in arrays.values())
+        assert not [name for name, value in arrays.items() if value.flags.writeable]
+        with pytest.raises(ValueError):
+            state.x_rows[0] = 1.0
+        with pytest.raises(ValueError):
+            state.useful_rate[0] = 1.0

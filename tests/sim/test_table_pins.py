@@ -11,6 +11,7 @@ steps a catalog sweep takes, which is what the fusion saves.
 """
 
 import hashlib
+from collections import OrderedDict
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.arch.registry import list_architectures
 from repro.check.differential import REL_TOL, compare_runs
 from repro.experiments.runner import run_catalog
 from repro.obs import configure
+from repro.sim import table as table_mod
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.table import simulate_many_columnar
 from repro.simos import SystemSpec
@@ -53,16 +55,15 @@ def results_digest(results):
     return h.hexdigest()
 
 
-def catalog_digest(alias):
-    def ordered():
-        for seed in SEEDS:
-            runs = run_catalog(alias, seed=seed, use_cache=False)
-            assert not runs.failures
-            for name in sorted(runs.runs):
-                for level in sorted(runs.runs[name]):
-                    yield runs.runs[name][level]
+def _catalog_runs(alias, seed):
+    runs = run_catalog(alias, seed=seed, use_cache=False)
+    assert not runs.failures
+    return [runs.runs[name][level] for name in sorted(runs.runs)
+            for level in sorted(runs.runs[name])]
 
-    return results_digest(ordered())
+
+def catalog_digest(alias):
+    return results_digest(run for seed in SEEDS for run in _catalog_runs(alias, seed))
 
 
 #: Digests over seeds ``SEEDS`` of ``run_catalog(alias, use_cache=False)``.
@@ -130,14 +131,29 @@ class TestLockCapOverflowFallback:
             assert not diffs, (spec.smt_level, spec.sync, diffs)
 
 
+def _traced(fn, *args, **kwargs):
+    """``fn``'s result and the tracer counters it left."""
+    tracer = configure(enabled=True)
+    tracer.reset()
+    try:
+        return fn(*args, **kwargs), tracer.counters()
+    finally:
+        configure(enabled=False)
+        tracer.reset()
+
+
 class TestSolveStructure:
-    """A catalog sweep's kernel calls and bisection steps, exactly."""
+    """A catalog sweep's kernel calls and bisection steps, exactly.
+
+    The counts are those of a layout's first sight: from its third table
+    on, a layout's kept template answers with its converged state.
+    """
 
     @pytest.mark.parametrize("alias, spin_iterations", [
         ("p7", 27),
         ("nehalem", 12),
     ])
-    def test_three_bisection_phases(self, alias, spin_iterations):
+    def test_three_bisection_phases(self, alias, spin_iterations, cold_memo):
         tracer = configure(enabled=True)
         tracer.reset()
         try:
@@ -150,3 +166,17 @@ class TestSolveStructure:
         assert counters.get("table.bisection_steps") == 42
         assert counters.get("table.spin_iterations") == spin_iterations
         assert "runner.batch_salvaged" not in counters
+
+    @pytest.mark.parametrize("alias", ["p7", "nehalem"])
+    def test_repeat_layout_reuses_fixed_point(self, alias, monkeypatch, cold_memo):
+        seed = 2**32 + 7
+        fresh = results_digest(_catalog_runs(alias, seed))
+        monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
+        monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+        _catalog_runs(alias, 0)
+        _catalog_runs(alias, 7)
+        runs, counters = _traced(_catalog_runs, alias, seed)
+        assert "table.solves" not in counters
+        assert "table.bisection_steps" not in counters
+        assert counters["table.state_hits"] == counters["table.tables"] >= 1
+        assert results_digest(runs) == fresh

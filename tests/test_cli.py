@@ -46,6 +46,9 @@ class TestRun:
             main(["run", "EP", "--system", "sparc"])
 
 
+# The traces must show a solve: a layout run twice before (by any
+# earlier test) would answer from its kept fixed point instead.
+@pytest.mark.usefixtures("cold_memo")
 class TestTelemetry:
     @pytest.fixture(autouse=True)
     def _restore_global_tracer(self):
