@@ -34,8 +34,8 @@ from pathlib import Path
 from repro.experiments.runner import run_catalog
 from repro.experiments.systems import nehalem_system, p7_system
 from repro.obs import configure
-from repro.sim import engine
 from repro.sim.runcache import RunCache
+from repro.util.memo import memos
 from repro.workloads.catalog import (
     NEHALEM_SET,
     NEHALEM_SMT1_SET,
@@ -59,7 +59,7 @@ def sweeps():
 def reset_memo_state():
     # The serial-rate memo survives across calls; clear it so every
     # timed phase starts from the same cold state.
-    engine._SERIAL_RATE_CACHE.clear()
+    memos()["engine.serial_rates"].clear()
 
 
 def timed(fn, repeats):

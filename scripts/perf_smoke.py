@@ -23,8 +23,8 @@ import time
 
 from repro.experiments.runner import run_catalog
 from repro.experiments.systems import p7_system
-from repro.sim import engine
 from repro.sim.runcache import RunCache
+from repro.util.memo import memos
 from repro.workloads.catalog import all_workloads
 
 MIN_SPEEDUP = 4.0
@@ -46,7 +46,7 @@ def sweep(strategy, cache=None):
 def timed(strategy, repeats=3):
     times = []
     for _ in range(repeats):
-        engine._SERIAL_RATE_CACHE.clear()
+        memos()["engine.serial_rates"].clear()
         start = time.perf_counter()
         sweep(strategy)
         times.append(time.perf_counter() - start)

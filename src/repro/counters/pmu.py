@@ -24,6 +24,7 @@ from repro.counters.events import (
     arch_event_names,
     port_issue_event,
 )
+from repro.util.memo import Memo
 
 
 class Pmu:
@@ -92,11 +93,9 @@ def _check_required(events: Mapping[str, float]) -> None:
             raise ValueError(f"counter sample missing required event {required}")
 
 
-#: Metric-space layouts, one per architecture object.  Keyed by ``id``
-#: with the architecture kept alive, so a key is never reused while
-#: cached; the bound keeps throwaway architectures from growing it.
-_LAYOUTS: Dict[int, Tuple[Architecture, Tuple[str, ...], np.ndarray]] = {}
-_LAYOUTS_MAX = 64
+#: Metric-space layouts ``(names, ideal)``, one per architecture object,
+#: keyed by ``id`` and pinning the architecture.
+_LAYOUTS = Memo("pmu.layouts", 64)
 
 
 def metric_layout(arch: Architecture) -> Tuple[Tuple[str, ...], np.ndarray]:
@@ -109,17 +108,15 @@ def metric_layout(arch: Architecture) -> Tuple[Tuple[str, ...], np.ndarray]:
     returns cannot reach the metric.  Built once per architecture.
     """
     hit = _LAYOUTS.get(id(arch))
-    if hit is None or hit[0] is not arch:
-        if arch.metric_space == "class":
-            names = CLASS_COUNT_EVENTS
-        else:
-            names = tuple(port_issue_event(p) for p in arch.topology.port_names)
-        ideal = np.array(arch.ideal_vector(), dtype=float)
-        ideal.setflags(write=False)
-        if len(_LAYOUTS) >= _LAYOUTS_MAX:
-            _LAYOUTS.clear()
-        hit = _LAYOUTS[id(arch)] = (arch, names, ideal)
-    return hit[1], hit[2]
+    if hit is not None:
+        return hit
+    if arch.metric_space == "class":
+        names = CLASS_COUNT_EVENTS
+    else:
+        names = tuple(port_issue_event(p) for p in arch.topology.port_names)
+    ideal = np.array(arch.ideal_vector(), dtype=float)
+    ideal.setflags(write=False)
+    return _LAYOUTS.put(id(arch), (names, ideal), pins=(arch,))
 
 
 @dataclass(frozen=True)

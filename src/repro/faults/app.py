@@ -28,6 +28,7 @@ from repro.counters.groups import MultiplexSchedule
 from repro.counters.pmu import REQUIRED_EVENTS, CounterSample
 from repro.faults.model import FaultConfig
 from repro.obs import get_tracer
+from repro.util.memo import Memo
 from repro.util.rng import RngStream
 
 #: Events :class:`CounterSample` refuses to exist without; dropout never
@@ -36,32 +37,26 @@ from repro.util.rng import RngStream
 PROTECTED_EVENTS = REQUIRED_EVENTS
 
 #: Derived schedules, one per architecture object (schedules are
-#: immutable, so every app on a machine shares one).  Keyed by ``id``
-#: with the architecture kept alive, so a key is never reused while
-#: cached; the bound keeps throwaway architectures from growing it.
-_SCHEDULES: Dict[int, Tuple[object, MultiplexSchedule]] = {}
-_SCHEDULES_MAX = 64
+#: immutable, so every app on a machine shares one), keyed by ``id`` and
+#: pinning the architecture.
+_SCHEDULES = Memo("faults.schedules", 64)
 
 
 def _schedule_for(arch) -> MultiplexSchedule:
     hit = _SCHEDULES.get(id(arch))
-    if hit is None or hit[0] is not arch:
-        from repro.counters.arch_groups import groups_for
+    if hit is not None:
+        return hit
+    from repro.counters.arch_groups import groups_for
 
-        if len(_SCHEDULES) >= _SCHEDULES_MAX:
-            _SCHEDULES.clear()
-        hit = _SCHEDULES[id(arch)] = (arch, groups_for(arch))
-    return hit[1]
+    return _SCHEDULES.put(id(arch), groups_for(arch), pins=(arch,))
 
 
 #: Event columns ``(names, sorted names, values)`` of source samples
 #: whose events are a read-only mapping, taken as immutable: the fleet
 #: perf model hands every node one frozen sample per (arch, workload,
 #: level, interval), so its columns are read once, not per corruption.
-#: Keyed by ``id`` with the sample kept alive, bounded like
-#: :data:`_SCHEDULES`.
-_COLUMNS: Dict[int, Tuple[CounterSample, Tuple[str, ...], List[str], np.ndarray]] = {}
-_COLUMNS_MAX = 1024
+#: Keyed by ``id``, pinning the sample.
+_COLUMNS = Memo("faults.columns", 1024)
 
 #: Obs counter of each injection kind.
 _COUNTER_NAMES = {
@@ -72,15 +67,13 @@ _COUNTER_NAMES = {
 
 def _columns_for(sample: CounterSample) -> Tuple[Tuple[str, ...], List[str], np.ndarray]:
     hit = _COLUMNS.get(id(sample))
-    if hit is not None and hit[0] is sample:
-        return hit[1], hit[2], hit[3]
+    if hit is not None:
+        return hit
     raw = sample.events
     names = tuple(raw)
     columns = (names, sorted(names), np.fromiter(raw.values(), float, len(names)))
     if isinstance(raw, MappingProxyType):
-        if len(_COLUMNS) >= _COLUMNS_MAX:
-            _COLUMNS.clear()
-        _COLUMNS[id(sample)] = (sample,) + columns
+        _COLUMNS.put(id(sample), columns, pins=(sample,))
     return columns
 
 

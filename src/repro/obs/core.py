@@ -13,7 +13,8 @@ point, the run cache) report what they are doing through one process-wide
 * **Aggregate in process, stream spans out.**  Counters and gauges live
   in plain dicts and are only serialized on :meth:`Tracer.flush`; span
   events stream to the sink as they close (a sweep emits tens of spans,
-  not thousands).
+  not thousands).  :meth:`Tracer.snapshot` and :meth:`Tracer.flush`
+  also gauge every registered :class:`~repro.util.memo.Memo`.
 * **Stdlib only.**  ``repro.obs`` sits below every other layer of the
   package — the simulator imports it, never the reverse — so the core
   and sink must not pull in numpy or any ``repro`` sibling (the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,8 +223,24 @@ class Tracer:
     def spans(self) -> List[SpanRecord]:
         return list(self._spans)
 
+    def _gauge_memos(self) -> None:
+        """Gauge every registered memo's size, cap and evictions.
+
+        Read at snapshot and flush time, so the memos' hot paths do no
+        telemetry work.  :mod:`repro.util.memo` is looked up, not
+        imported: until something imports it there is no memo to read.
+        """
+        module = sys.modules.get("repro.util.memo")
+        if module is None:
+            return
+        for name, memo in module.memos().items():
+            self.gauge(f"memo.{name}.size", len(memo))
+            self.gauge(f"memo.{name}.cap", memo.cap)
+            self.gauge(f"memo.{name}.evictions", memo.evictions)
+
     def snapshot(self) -> Dict[str, Any]:
         """The registry's current state as plain data (JSON-ready)."""
+        self._gauge_memos()
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),
@@ -241,6 +259,7 @@ class Tracer:
         """Emit aggregated counters/gauges to the sink and flush it."""
         if self._sink is None:
             return
+        self._gauge_memos()
         for name in sorted(self._counters):
             self._sink.emit(
                 {"type": "counter", "name": name, "value": self._counters[name]}

@@ -3,7 +3,8 @@
 Consumes the JSONL events a :class:`repro.obs.Tracer` emits (or a live
 tracer's snapshot) and aggregates them into the report ``repro stats``
 prints: a duration-annotated span tree, counter and gauge totals, the
-run-cache hit rate, and the slowest individual runs.
+identity memos' sizes, caps and evictions, the run-cache hit rate, and
+the slowest individual runs.
 """
 
 from __future__ import annotations
@@ -137,6 +138,16 @@ class TelemetrySummary:
             return None
         return stats
 
+    def memo_stats(self) -> Dict[str, Dict[str, float]]:
+        """``{memo name: {"size", "cap", "evictions"}}`` from the
+        ``memo.*`` gauges the tracer records."""
+        table: Dict[str, Dict[str, float]] = {}
+        for name, value in self.gauges.items():
+            if name.startswith("memo."):
+                memo, _, field_name = name[len("memo."):].rpartition(".")
+                table.setdefault(memo, {})[field_name] = value
+        return table
+
     def slowest_runs(self, top: int = 10) -> List[Dict[str, Any]]:
         """The longest per-run spans (``runner.run`` / ``engine.simulate_run``)."""
         runs = [
@@ -259,9 +270,20 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
         ]
         sections.append(format_table(["counter", "total"], rows, title="counters"))
 
-    if summary.gauges:
-        rows = [[name, f"{value:g}"] for name, value in sorted(summary.gauges.items())]
+    gauges = {k: v for k, v in summary.gauges.items() if not k.startswith("memo.")}
+    if gauges:
+        rows = [[name, f"{value:g}"] for name, value in sorted(gauges.items())]
         sections.append(format_table(["gauge", "value"], rows, title="gauges"))
+
+    memos = summary.memo_stats()
+    if memos:
+        rows = [
+            [name] + [f"{fields.get(k, 0.0):g}" for k in ("size", "cap", "evictions")]
+            for name, fields in sorted(memos.items())
+        ]
+        sections.append(
+            format_table(["memo", "size", "cap", "evictions"], rows, title="memos")
+        )
 
     workers = summary.worker_stats()
     if workers:

@@ -38,6 +38,7 @@ from repro.simos.scheduler import Placement, place_threads
 from repro.simos.sync import SyncProfile
 from repro.simos.system import SystemSpec
 from repro.simos.timebase import TimeAccounting, account_run
+from repro.util.memo import Memo
 from repro.util.rng import RngStream
 from repro.util.validation import check_fraction, check_positive
 
@@ -278,28 +279,23 @@ def _finalize_run(
 #: Serial rates depend only on (architecture, stream) — not the SMT
 #: level — so one entry serves a workload's whole level sweep.  Keys use
 #: ``id(arch)`` because architectures hold dict-valued partition tables
-#: and are unhashable; the stored arch reference pins the id.  Every
-#: insert goes through :func:`_remember_serial_rates`, which holds the
-#: memo to ``_SERIAL_RATE_CACHE_MAX`` entries.
-_SERIAL_RATE_CACHE: Dict[Tuple[int, StreamParams], Tuple[object, float]] = {}
-_SERIAL_RATE_CACHE_MAX = 4096
+#: and are unhashable; each entry pins its arch.  Every insert goes
+#: through :func:`_remember_serial_rates`.
+_SERIAL_RATE_CACHE = Memo("engine.serial_rates", 4096)
 
 
 def _remember_serial_rates(
     arch, rates: Sequence[Tuple[StreamParams, float]]
 ) -> None:
-    """Memoize solved serial rates for ``arch``, keeping the memo bounded.
+    """Memoize solved serial rates for ``arch`` as one batch.
 
-    A batch that would overflow the cap clears the memo first rather
-    than midway: callers read every rate of the batch straight back, and
-    a rate recomputed by the scalar solver can differ from the batch
-    solver's in the last bits.  For the same reason a single batch
-    larger than the cap is kept whole.
+    The batch is never split by eviction: callers read every rate of
+    the batch straight back, and a rate recomputed by the scalar solver
+    can differ from the batch solver's in the last bits.
     """
-    if len(_SERIAL_RATE_CACHE) + len(rates) > _SERIAL_RATE_CACHE_MAX:
-        _SERIAL_RATE_CACHE.clear()
-    for stream, rate in rates:
-        _SERIAL_RATE_CACHE[(id(arch), stream)] = (arch, rate)
+    _SERIAL_RATE_CACHE.put_many(
+        [((id(arch), stream), rate) for stream, rate in rates], pins=(arch,)
+    )
 
 
 def _warm_serial_rates(arch, streams: Sequence[StreamParams]) -> None:
@@ -307,8 +303,7 @@ def _warm_serial_rates(arch, streams: Sequence[StreamParams]) -> None:
     for ``arch``, in one vectorized pass (independent SMT1 solo solves)."""
     pending: Dict[StreamParams, None] = {}
     for stream in streams:
-        hit = _SERIAL_RATE_CACHE.get((id(arch), stream))
-        if hit is None or hit[0] is not arch:
+        if _SERIAL_RATE_CACHE.get((id(arch), stream)) is None:
             pending[stream] = None
     if not pending:
         return
@@ -330,11 +325,10 @@ def _serial_rate(system: SystemSpec, stream: StreamParams) -> float:
     mode (paper §II-A) and sees no bandwidth contention.
     """
     arch = system.arch
-    key = (id(arch), stream)
-    hit = _SERIAL_RATE_CACHE.get(key)
-    if hit is not None and hit[0] is arch:
+    hit = _SERIAL_RATE_CACHE.get((id(arch), stream))
+    if hit is not None:
         get_tracer().add("engine.serial_memo_hits")
-        return hit[1]
+        return hit
     get_tracer().add("engine.serial_memo_misses")
     out = solve_core(
         CoreInput(

@@ -40,7 +40,8 @@ Both memos key on object *identity* and pin the objects they key on
 ``data_sharing=-0.0`` equals ``0.0`` and hashes alike but renders
 differently, so a value-keyed memo would hand one spec the other's key.
 Registered architectures and catalog workloads are shared instances,
-so repeated sweeps hit; each memo is cleared when it reaches its cap.
+so repeated sweeps hit; each memo is a bounded
+:class:`~repro.util.memo.Memo`.
 ``tests/sim/test_runcache.py`` pins key and record bytes written by
 earlier versions, so existing entries stay addressable.
 
@@ -103,6 +104,7 @@ from repro.sim.cache import (
 from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
 from repro.simos.timebase import TimeAccounting
+from repro.util.memo import Memo
 
 #: Bump on any behavioural change to the solvers or run loop.
 MODEL_VERSION = 1
@@ -190,46 +192,39 @@ def _constants_fp_json() -> str:
 
 #: Architectures are unhashable (dict-valued partition tables), so the
 #: per-architecture part of every key is memoized by object identity:
-#: ``id(arch) -> (arch, constants JSON, arch JSON, key prefix)``, where
-#: the prefix is a SHA-256 already fed ``constants + NUL + arch + NUL``.
-#: The stored reference pins the id against reuse; an entry built under
-#: other constants is rebuilt.  The memo is cleared when full, so
-#: freshly built architectures cannot grow it without bound.
-_ARCH_MEMO: Dict[int, Tuple[Architecture, str, str, Any]] = {}
-_ARCH_MEMO_MAX = 64
+#: ``id(arch) -> (constants JSON, arch JSON, key prefix)``, where the
+#: prefix is a SHA-256 already fed ``constants + NUL + arch + NUL``.
+#: Each entry pins its arch; an entry built under other constants is
+#: rebuilt.
+_ARCH_MEMO = Memo("runcache.arch", 64)
 
 
-def _arch_entry(arch: Architecture) -> Tuple[Architecture, str, str, Any]:
+def _arch_entry(arch: Architecture) -> Tuple[str, str, Any]:
     constants = _constants_fp_json()
     hit = _ARCH_MEMO.get(id(arch))
-    if hit is not None and hit[0] is arch and hit[1] is constants:
+    if hit is not None and hit[0] is constants:
         return hit
     arch_json = json.dumps(_arch_fingerprint(arch), sort_keys=True)
     prefix = hashlib.sha256(
         constants.encode() + b"\x00" + arch_json.encode() + b"\x00"
     )
-    if len(_ARCH_MEMO) >= _ARCH_MEMO_MAX:
-        _ARCH_MEMO.clear()
-    entry = (arch, constants, arch_json, prefix)
-    _ARCH_MEMO[id(arch)] = entry
-    return entry
+    return _ARCH_MEMO.put(id(arch), (constants, arch_json, prefix), pins=(arch,))
 
 
 def _arch_fp_json(arch: Architecture) -> str:
-    return _arch_entry(arch)[2]
+    return _arch_entry(arch)[1]
 
 
 #: The ``"stream": {...}, "sync": {...}`` fragment of the spec JSON,
-#: memoized by the identities of the pair and pinned like the arch memo
-#: (never by value: see the module docstring on ``-0.0``).
-_WORKLOAD_MEMO: Dict[Tuple[int, int], Tuple[Any, Any, str]] = {}
-_WORKLOAD_MEMO_MAX = 256
+#: memoized by the identities of the pair, which each entry pins (never
+#: by value: see the module docstring on ``-0.0``).
+_WORKLOAD_MEMO = Memo("runcache.workload", 256)
 
 
 def _workload_fp_json(stream, sync) -> str:
     hit = _WORKLOAD_MEMO.get((id(stream), id(sync)))
-    if hit is not None and hit[0] is stream and hit[1] is sync:
-        return hit[2]
+    if hit is not None:
+        return hit
     fingerprint = {
         "stream": {
             "mix": stream.mix.vector.tolist(),
@@ -241,10 +236,7 @@ def _workload_fp_json(stream, sync) -> str:
         "sync": asdict(sync),
     }
     text = json.dumps(fingerprint, sort_keys=True)[1:-1]  # drop the braces
-    if len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_MAX:
-        _WORKLOAD_MEMO.clear()
-    _WORKLOAD_MEMO[(id(stream), id(sync))] = (stream, sync, text)
-    return text
+    return _WORKLOAD_MEMO.put((id(stream), id(sync)), text, pins=(stream, sync))
 
 
 _INF = float("inf")
@@ -259,7 +251,7 @@ def _scalar_json(value) -> str:
 
 def run_cache_key(spec) -> str:
     """Content-hash key for one :class:`repro.sim.engine.RunSpec`."""
-    digest = _arch_entry(spec.system.arch)[3].copy()
+    digest = _arch_entry(spec.system.arch)[2].copy()
     # The spec object as ``json.dumps(..., sort_keys=True)`` renders it.
     text = (
         '{"n_chips": %s, "n_threads": %s, "noise_rel": %s, "seed": %s, '

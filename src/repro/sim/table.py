@@ -41,7 +41,6 @@ see :class:`ScenarioTable`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -61,6 +60,7 @@ from repro.sim.results import RunResult
 from repro.sim.stream import REF_L1_KB, REF_L2_KB, REF_L3_MB_PER_THREAD
 from repro.simos.scheduler import place_threads
 from repro.simos.timebase import TimeAccounting, account_runs
+from repro.util.memo import Memo
 from repro.util.rng import RngStream, seed_streams
 
 __all__ = ["ScenarioTable", "TableState", "simulate_many_columnar"]
@@ -284,22 +284,22 @@ class _View:
         return np.add.reduceat(self.n_cores * self.occ * sol.x, self.seg)
 
 
-#: Table templates, keyed by :func:`_template_key`, least recently used
-#: first.  A template is the ``vars()`` of a table built with its key:
-#: every column that depends on neither a run's seed nor its
-#: ``noise_rel``, its arrays read-only; once a table with the key has
-#: run, also its converged :class:`TableState` (``"_state"``), which the
-#: fixed point computes from those columns alone.  It pins the
-#: architecture, streams and sync profiles its key names by ``id``, so no
-#: id can be reused while the entry lives.  Serial rates are not in it:
-#: they stay in ``engine._SERIAL_RATE_CACHE``.
-_TEMPLATES: "OrderedDict[Tuple[int, tuple], Dict[str, Any]]" = OrderedDict()
-_TEMPLATE_MAX = 64
-#: Hashes of the keys built once and not kept.  A key's template is
-#: kept from its second table on, so run layouts that never repeat
-#: (most served predict batches) neither take memory nor evict one.
-_SEEN_ONCE: set = set()
-_SEEN_ONCE_MAX = 4096
+#: Table templates, keyed by :func:`_template_key`.  A template is the
+#: ``vars()`` of a table built with its key: every column that depends
+#: on neither a run's seed nor its ``noise_rel``, its arrays read-only;
+#: once a table with the key has run, also its converged
+#: :class:`TableState` (``"_state"``), which the fixed point computes
+#: from those columns alone.  Each entry pins the architecture, streams
+#: and sync profiles its key names by ``id``.  Serial rates are not in
+#: it: they stay in ``engine._SERIAL_RATE_CACHE``.
+_TEMPLATES = Memo("table.templates", 64)
+#: Hashes of the keys built once and not kept; they pin nothing.  A
+#: key's template is kept from its second table on, so run layouts that
+#: never repeat (most served predict batches) neither take memory nor
+#: evict one.
+_SEEN_ONCE = Memo("table.seen_once", 4096)
+#: Makes "seen before, then keep the template" one step across the two
+#: memos, and guards storing a template's converged state.
 _TEMPLATE_LOCK = threading.Lock()
 
 
@@ -326,16 +326,11 @@ def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> Optional[Dict[
             value.flags.writeable = False
     digest = hash(key)
     with _TEMPLATE_LOCK:
-        if digest not in _SEEN_ONCE:
-            if len(_SEEN_ONCE) >= _SEEN_ONCE_MAX:
-                _SEEN_ONCE.clear()
-            _SEEN_ONCE.add(digest)
+        if _SEEN_ONCE.pop(digest) is None:
+            _SEEN_ONCE.put(digest, True)
             return None
-        _SEEN_ONCE.discard(digest)
-        while len(_TEMPLATES) >= _TEMPLATE_MAX:
-            _TEMPLATES.popitem(last=False)
-        template = _TEMPLATES[key] = dict(columns)
-        return template
+        pins = (columns["arch"], columns["streams"], columns["syncs"])
+        return _TEMPLATES.put(key, dict(columns), pins=pins)
 
 
 class ScenarioTable:
@@ -364,10 +359,7 @@ class ScenarioTable:
                     "all specs in a ScenarioTable must share one Architecture instance"
                 )
         key = _template_key(arch, specs)
-        with _TEMPLATE_LOCK:
-            template = _TEMPLATES.pop(key, None)
-            if template is not None:
-                _TEMPLATES[key] = template  # reinserted: most recently used last
+        template = _TEMPLATES.get(key)
         tracer = get_tracer()
         if template is None:
             self._build(arch, specs)

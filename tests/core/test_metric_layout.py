@@ -6,13 +6,13 @@ no issue counts; ``robust_smtsm`` shares the metric vector and degrades
 instead.  The messages are pinned verbatim: callers match on them.
 
 :func:`~repro.counters.pmu.metric_layout` is memoized by architecture
-identity: registered architectures reuse one entry, fresh ones never
-push the memo past its cap, and the memoized ideal vector is a
-read-only copy that no caller of ``ideal_vector()`` can reach.
+identity: registered architectures reuse one entry, fresh ones get
+their own, and the memoized ideal vector is a read-only copy that no
+caller of ``ideal_vector()`` can reach.  The memo's cap is held in
+``tests/sim/test_memo_bounds.py`` with every other memo's.
 """
 
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from repro.counters.pmu import CounterSample, metric_layout
 from tests.arch.strategies import arch_strategy
 from tests.core.test_metric import p7_sample
 
-SMALL_CAP = 4
 
 CLASS_EVENTS = ("LD_CMPL", "ST_CMPL", "BR_CMPL", "FX_CMPL", "VS_CMPL")
 
@@ -91,12 +90,10 @@ class TestLayoutMemo:
 
     @given(arch_strategy())
     @settings(max_examples=30, deadline=None)
-    def test_fresh_architectures_never_pass_the_cap(self, arch):
-        with mock.patch.object(pmu, "_LAYOUTS_MAX", SMALL_CAP):
-            names, ideal = metric_layout(arch)
-            assert len(pmu._LAYOUTS) <= SMALL_CAP
-            assert np.array_equal(ideal, arch.ideal_vector())
-            assert len(names) == len(ideal)
+    def test_fresh_architectures_get_their_own_layout(self, arch):
+        names, ideal = metric_layout(arch)
+        assert np.array_equal(ideal, arch.ideal_vector())
+        assert len(names) == len(ideal)
 
     @pytest.mark.parametrize("name", ["power7", "nehalem"])
     def test_mutating_ideal_vector_cannot_corrupt_the_layout(self, name):

@@ -285,7 +285,7 @@ class TestVectorNoiseOracle:
 
 
 class TestScheduleCache:
-    def test_one_schedule_per_architecture(self, monkeypatch):
+    def test_one_schedule_per_architecture(self, monkeypatch, cold_memo):
         from repro.counters import arch_groups
         from repro.faults import app as app_module
 
@@ -297,7 +297,6 @@ class TestScheduleCache:
             return real(arch)
 
         monkeypatch.setattr(arch_groups, "groups_for", counting)
-        monkeypatch.setattr(app_module, "_SCHEDULES", {})
         shared, other = power7(), power7()
         apps = []
         for seed, arch in enumerate((shared, shared, shared, other)):
@@ -328,37 +327,27 @@ class FrozenApp(StationaryApp):
 
 
 class TestColumnsCache:
-    """Columns of read-only source samples are read once per sample;
-    the memo stays bounded and never changes what ``advance`` returns."""
+    """Columns of read-only source samples are read once per sample, and
+    the memo never changes what ``advance`` returns (its cap is held in
+    ``tests/sim/test_memo_bounds.py``)."""
 
-    def test_shared_sample_takes_one_entry(self, monkeypatch):
+    def test_shared_sample_takes_one_entry(self, cold_memo):
         from repro.faults import app as app_module
 
-        monkeypatch.setattr(app_module, "_COLUMNS", {})
         shared = FrozenApp().sample
         for seed in range(5):
             app = FaultyApp(FrozenApp(shared), SEVERE, seed=seed)
             for _ in range(4):
                 app.advance(0.1)
-        assert list(app_module._COLUMNS) == [id(shared)]
+        assert app_module._COLUMNS.keys() == [id(shared)]
 
-    def test_plain_dict_samples_are_not_memoized(self, monkeypatch):
+    def test_plain_dict_samples_are_not_memoized(self, cold_memo):
         from repro.faults import app as app_module
 
-        monkeypatch.setattr(app_module, "_COLUMNS", {})
         app = FaultyApp(StationaryApp(), SEVERE, seed=3)
         for _ in range(10):
             app.advance(0.1)
-        assert app_module._COLUMNS == {}
-
-    def test_fresh_samples_never_pass_the_cap(self, monkeypatch):
-        from repro.faults import app as app_module
-
-        monkeypatch.setattr(app_module, "_COLUMNS", {})
-        monkeypatch.setattr(app_module, "_COLUMNS_MAX", 4)
-        for seed in range(12):
-            FaultyApp(FrozenApp(), SEVERE, seed=seed).advance(0.1)
-            assert len(app_module._COLUMNS) <= 4
+        assert len(app_module._COLUMNS) == 0
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5])
     def test_memoized_columns_corrupt_like_a_plain_sample(self, seed):

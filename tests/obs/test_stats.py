@@ -14,6 +14,9 @@ from repro.obs import (
     summarize_tracer,
 )
 from repro.obs.sink import latest_telemetry_file
+from repro.util.memo import Memo
+
+pytestmark = pytest.mark.usefixtures("no_memos")
 
 
 class FakeClock:
@@ -148,6 +151,20 @@ class TestSummaries:
         assert "runcache.hits" in text
         assert "3 hits / 1 misses (75.0% hit rate)" in text
         assert "SSCA2@SMT4" in text
+
+    def test_memos_render_as_one_table(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        memo = Memo("probe", 2)
+        for key in "abc":
+            memo.put(key, 1)
+        traced_session(path)
+        summary = summarize_file(path)
+        assert summary.memo_stats() == {"probe": {"size": 2.0, "cap": 2.0, "evictions": 1.0}}
+        text = render_summary(summary)
+        assert "memos" in text and "memo.probe" not in text
+        (row,) = [line.split() for line in text.splitlines() if line.startswith("probe")]
+        assert row == ["probe", "2", "2", "1"]
+        assert "batch.width" in text   # other gauges keep their own table
 
     def test_render_empty(self):
         assert render_summary(summarize_events([])) == "no telemetry events"

@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.runner import run_catalog
 from repro.experiments.systems import p7_system
 from repro.obs import configure, get_tracer
-from repro.sim import engine
 from repro.sim.runcache import RunCache
 from repro.workloads.catalog import all_workloads
 
@@ -30,14 +29,14 @@ def tracer():
 
 
 @pytest.fixture
-def sweep(tmp_path):
+def sweep(tmp_path, cold_memo):
     system = p7_system()
     specs = all_workloads()
     catalog = {name: specs[name] for name in NAMES}
     cache = RunCache(tmp_path / "runcache")
 
     def run():
-        engine._SERIAL_RATE_CACHE.clear()
+        cold_memo()
         return run_catalog(system, catalog, LEVELS, cache=cache)
 
     return run

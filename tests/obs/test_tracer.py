@@ -9,6 +9,9 @@ from repro.obs import (
     telemetry_enabled_by_env,
 )
 from repro.obs.core import ENV_TELEMETRY
+from repro.util.memo import Memo
+
+pytestmark = pytest.mark.usefixtures("no_memos")
 
 
 class FakeClock:
@@ -113,6 +116,24 @@ class TestCountersAndGauges:
         assert [e["name"] for e in snap["spans"]] == ["s"]
         tracer.reset()
         assert tracer.snapshot() == {"counters": {}, "gauges": {}, "spans": []}
+
+    def test_snapshot_gauges_every_memo(self, tracer):
+        memo = Memo("probe", 2)
+        for key in "abc":
+            memo.put(key, 1)
+        assert tracer.gauges() == {}   # read at snapshot time, not per call
+        assert tracer.snapshot()["gauges"] == {
+            "memo.probe.size": 2.0, "memo.probe.cap": 2.0, "memo.probe.evictions": 1.0,
+        }
+
+    def test_flush_gauges_every_memo(self):
+        sink = ListSink()
+        memo = Memo("probe", 2)
+        memo.put("a", 1)
+        Tracer(enabled=True, sink=sink).flush()
+        assert {e["name"]: e["value"] for e in sink.events if e["type"] == "gauge"} == {
+            "memo.probe.size": 1.0, "memo.probe.cap": 2.0, "memo.probe.evictions": 0.0,
+        }
 
 
 class TestDisabledMode:

@@ -9,7 +9,6 @@ tables where no lockstep amortization exists at all.
 """
 
 import dataclasses
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from repro.experiments.runner import (
 )
 from repro.fleet import perfmodel
 from repro.obs import configure
-from repro.sim import table as table_mod
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.hetero import HeteroRunSpec, simulate_many_hetero
 from repro.sim.table import ScenarioTable, simulate_many_columnar
@@ -167,11 +165,10 @@ class TestTemplates:
     """Tables that copy a template answer exactly like freshly built ones."""
 
     @pytest.mark.parametrize("alias", ["p7", "nehalem"])
-    def test_warm_memo_answers_like_a_cold_one(self, alias, monkeypatch):
+    def test_warm_memo_answers_like_a_cold_one(self, alias, cold_memo):
         cold = []
         for seed in SEEDS:
-            monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
-            monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+            cold_memo()
             cold.append(_catalog_digest(alias, seed))
 
         # Warm the memo through other entry points (the serial strategy
@@ -251,13 +248,12 @@ class TestTemplates:
             table.run_work[0] = 1.0
 
     @pytest.mark.parametrize("name", [*list_architectures(), "lock-overflow"])
-    def test_kept_state_answers_like_an_empty_memo(self, name, monkeypatch):
+    def test_kept_state_answers_like_an_empty_memo(self, name, cold_memo):
         layout = _layout(name)
         for seed in (11, 2**32 + 7):
             for noise in ({"noise_rel": 0.0}, {}):
                 specs = [dataclasses.replace(spec, seed=seed, **noise) for spec in layout]
-                monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
-                monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+                cold_memo()
                 fresh = results_digest(ScenarioTable(specs).run())
                 # Two tables at another seed and noise keep the template
                 # and its state; the third table only finalizes.

@@ -11,7 +11,6 @@ steps a catalog sweep takes, which is what the fusion saves.
 """
 
 import hashlib
-from collections import OrderedDict
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.arch.registry import list_architectures
 from repro.check.differential import REL_TOL, compare_runs
 from repro.experiments.runner import run_catalog
 from repro.obs import configure
-from repro.sim import table as table_mod
 from repro.sim.engine import RunSpec, simulate_run
 from repro.sim.table import simulate_many_columnar
 from repro.simos import SystemSpec
@@ -168,11 +166,10 @@ class TestSolveStructure:
         assert "runner.batch_salvaged" not in counters
 
     @pytest.mark.parametrize("alias", ["p7", "nehalem"])
-    def test_repeat_layout_reuses_fixed_point(self, alias, monkeypatch, cold_memo):
+    def test_repeat_layout_reuses_fixed_point(self, alias, cold_memo):
         seed = 2**32 + 7
         fresh = results_digest(_catalog_runs(alias, seed))
-        monkeypatch.setattr(table_mod, "_TEMPLATES", OrderedDict())
-        monkeypatch.setattr(table_mod, "_SEEN_ONCE", set())
+        cold_memo()
         _catalog_runs(alias, 0)
         _catalog_runs(alias, 7)
         runs, counters = _traced(_catalog_runs, alias, seed)
