@@ -289,9 +289,8 @@ class _View:
 #: on neither a run's seed nor its ``noise_rel``, its arrays read-only;
 #: once a table with the key has run, also its converged
 #: :class:`TableState` (``"_state"``), which the fixed point computes
-#: from those columns alone.  Each entry pins the architecture, streams
-#: and sync profiles its key names by ``id``.  Serial rates are not in
-#: it: they stay in ``engine._SERIAL_RATE_CACHE``.
+#: from those columns alone.  Serial rates are not in it: they stay in
+#: ``engine._SERIAL_RATE_CACHE``.
 _TEMPLATES = Memo("table.templates", 64)
 #: Hashes of the keys built once and not kept; they pin nothing.  A
 #: key's template is kept from its second table on, so run layouts that
@@ -329,8 +328,8 @@ def _remember(key: Tuple[int, tuple], columns: Dict[str, Any]) -> Optional[Dict[
         if _SEEN_ONCE.pop(digest) is None:
             _SEEN_ONCE.put(digest, True)
             return None
-        pins = (columns["arch"], columns["streams"], columns["syncs"])
-        return _TEMPLATES.put(key, dict(columns), pins=pins)
+        # No pins: the template holds the arch, streams and syncs its key names.
+        return _TEMPLATES.put(key, dict(columns))
 
 
 class ScenarioTable:

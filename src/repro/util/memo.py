@@ -7,20 +7,16 @@ and multiplex schedules per architecture, event columns per counter
 sample.  Their keys name objects by ``id`` because the objects are
 unhashable (architectures hold dict-valued partition tables) or because
 equal values must not share an entry (``-0.0 == 0.0`` renders
-differently in a run-cache key).  A :class:`Memo` stores each value with
-the objects its key names (its *pins*), so no id can be reused while its
-entry lives, and holds at most ``cap`` entries, evicting the least
-recently used one.  Every memo registers itself by name: :func:`memos`
-lists them (the tracer reads their sizes, caps and evictions as gauges
-when it snapshots or flushes) and :func:`clear_all` empties them, which
-gives a process the answers of a fresh one.
+differently in a run-cache key).  A :class:`Memo` keeps the objects its
+key names (its *pins*) alive with each entry, so no id can be reused
+while the entry lives, and holds at most ``cap`` entries, evicting the
+least recently used one.  Every memo registers itself by name:
+:func:`memos` lists them (the tracer reads their sizes, caps and
+evictions as gauges when it snapshots or flushes) and :func:`clear_all`
+empties them, which gives a process the answers of a fresh one.
 
-Value-keyed registries are not memos: ``fleet.perfmodel._MODELS``,
-``check.goldens._FINGERPRINT_CACHE``, ``workloads.catalog._CATALOG``,
-``api._SESSIONS``, ``arch.registry._INSTANCES`` and
-``arch.hetero._HETERO_*`` key on names or config tuples, hold nothing
-by ``id`` and are bounded by what is registered, so a shared type would
-only have to branch on the kind of key.
+Value-keyed registries (keys that are names or config tuples) are not
+memos; ``tests/test_memo_guard.py`` lists them, each with its reason.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ class Memo:
     here (callers count the ones that matter); evictions are.
     """
 
-    __slots__ = ("name", "cap", "evictions", "_data", "_lock", "__weakref__")
+    __slots__ = ("name", "cap", "evictions", "_data", "_pins", "_lock", "__weakref__")
 
     def __init__(self, name: str, cap: int):
         if _REGISTRY.get(name) is not None:
@@ -52,31 +48,26 @@ class Memo:
         self.name = name
         self.cap = cap
         self.evictions = 0
-        self._data: "OrderedDict[Hashable, Tuple[Any, tuple]]" = OrderedDict()
+        #: key -> value, least recently used first.
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: key -> its pins, for entries that have any; written under the lock.
+        self._pins: Dict[Hashable, tuple] = {}
         self._lock = threading.Lock()
         _REGISTRY[name] = self
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
-    def keys(self) -> list:
-        """The keys, least recently used first."""
-        return list(self._data)
-
     def get(self, key: Hashable) -> Any:
         """The value under ``key``, now the most recently used, or ``None``."""
         data = self._data
-        entry = data.get(key)
-        if entry is None:
-            return None
-        try:
-            data.move_to_end(key)
-        except KeyError:  # evicted meanwhile by another thread
-            pass
-        return entry[0]
+        value = data.get(key)
+        if value is not None:
+            try:
+                data.move_to_end(key)
+            except KeyError:  # evicted meanwhile by another thread
+                pass
+        return value
 
     def put(self, key: Hashable, value: Any, pins: tuple = ()) -> Any:
         """Store ``value`` under ``key`` with ``pins``; returns ``value``."""
@@ -92,25 +83,35 @@ class Memo:
         """
         batch = dict(items)
         with self._lock:
-            data = self._data
+            data, kept_pins = self._data, self._pins
             for key, value in batch.items():
-                data[key] = (value, pins)
+                if pins:
+                    kept_pins[key] = pins
+                data[key] = value
                 data.move_to_end(key)
             keep = max(self.cap, len(batch))
             while len(data) > keep:
-                data.popitem(last=False)
+                key, value = data.popitem(last=False)
+                if key in batch:
+                    # A lock-free get moved an older entry behind the
+                    # batch: keep this one, the older one goes next.
+                    data[key] = value
+                    continue
+                kept_pins.pop(key, None)
                 self.evictions += 1
 
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove ``key``'s entry; returns its value, or ``None``."""
         with self._lock:
-            entry = self._data.pop(key, None)
-        return None if entry is None else entry[0]
+            value = self._data.pop(key, None)
+            self._pins.pop(key, None)
+        return value
 
     def clear(self) -> None:
         """Drop every entry (not counted as evictions)."""
         with self._lock:
             self._data.clear()
+            self._pins.clear()
 
 
 def memos() -> Dict[str, Memo]:

@@ -23,6 +23,7 @@ def cold_memo(monkeypatch):
     def empty():
         for memo in memos().values():
             monkeypatch.setattr(memo, "_data", OrderedDict())
+            monkeypatch.setattr(memo, "_pins", {})
             monkeypatch.setattr(memo, "evictions", 0)
 
     empty()

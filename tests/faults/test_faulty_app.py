@@ -339,7 +339,7 @@ class TestColumnsCache:
             app = FaultyApp(FrozenApp(shared), SEVERE, seed=seed)
             for _ in range(4):
                 app.advance(0.1)
-        assert app_module._COLUMNS.keys() == [id(shared)]
+        assert list(app_module._COLUMNS._data) == [id(shared)]
 
     def test_plain_dict_samples_are_not_memoized(self, cold_memo):
         from repro.faults import app as app_module

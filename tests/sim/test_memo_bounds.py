@@ -16,9 +16,11 @@ import subprocess
 import sys
 import threading
 import weakref
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import repro.api as api
 from repro.arch import get_architecture, power7
@@ -28,8 +30,9 @@ from repro.sim import engine, runcache, table
 from repro.sim.engine import RunSpec
 from repro.sim.table import ScenarioTable
 from repro.simos.system import SystemSpec
-from repro.util.memo import memos
+from repro.util.memo import Memo, memos
 from repro.workloads import get_workload
+from tests.arch.strategies import arch_strategy
 from tests.faults.test_faulty_app import SEVERE, FrozenApp, StationaryApp
 from tests.sim.test_table_pins import results_digest
 
@@ -84,9 +87,9 @@ def _small(name, monkeypatch):
 
 def _feed(memo, name, obj):
     """Feed ``obj`` and return the one key it added."""
-    before = set(memo.keys())
+    before = set(memo._data)
     DRIVERS[name][1](obj)
-    (key,) = set(memo.keys()) - before
+    (key,) = set(memo._data) - before
     return key
 
 
@@ -102,8 +105,27 @@ def test_fresh_objects_stay_under_the_cap(name, cold_memo, monkeypatch):
         alive.append(DRIVERS[name][0]())
         keys.append(_feed(memo, name, alive[-1]))
         assert len(memo) <= SMALL_CAP
-    assert memo.keys() == keys[-SMALL_CAP:]
+    assert list(memo._data) == keys[-SMALL_CAP:]
+    assert set(memo._pins) <= set(memo._data)
     assert memo.evictions == 2 * SMALL_CAP
+
+
+@given(arch_strategy())
+@settings(max_examples=30, deadline=None)
+def test_generated_architectures_stay_under_the_caps(arch):
+    """Serial rates and run-cache keys of architectures unlike power7."""
+    names = ("engine.serial_rates", "runcache.arch")
+    spec = _spec(arch=arch)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in names:   # empty storage, swapped back afterwards
+            mp.setattr(memos()[name], "_data", OrderedDict())
+            mp.setattr(memos()[name], "_pins", {})
+            mp.setattr(memos()[name], "cap", 1)
+        for stream in (EP.stream, get_workload("Stream").stream):
+            assert engine._serial_rate(spec.system, stream) > 0
+        key = runcache.run_cache_key(spec)
+        assert runcache.run_cache_key(spec) == key and len(key) == 64
+        assert [len(memos()[name]) for name in names] == [1, 1]
 
 
 @pytest.mark.parametrize("name", sorted(set(DRIVERS) - PINS_NOTHING))
@@ -113,9 +135,9 @@ def test_the_least_recently_used_entry_goes(name, cold_memo, monkeypatch):
     objs = [fresh() for _ in range(SMALL_CAP + 1)]
     keys = [_feed(memo, name, obj) for obj in objs[:SMALL_CAP]]
     feed(objs[0])   # a hit: the oldest becomes the most recently used
-    assert memo.keys() == keys[1:] + keys[:1] and memo.evictions == 0
+    assert list(memo._data) == keys[1:] + keys[:1] and memo.evictions == 0
     newest = _feed(memo, name, objs[-1])
-    assert memo.keys() == keys[2:] + keys[:1] + [newest]
+    assert list(memo._data) == keys[2:] + keys[:1] + [newest]
     assert memo.evictions == 1
 
 
@@ -150,13 +172,31 @@ def test_a_serial_rate_batch_is_never_split(cold_memo, monkeypatch):
     arch = power7()
     streams = [get_workload(name).stream for name in ("EP", "CG")]
     engine._warm_serial_rates(arch, streams)
-    assert memo.keys() == ([(id(a), EP.stream) for a in older[1:]]
+    assert list(memo._data) == ([(id(a), EP.stream) for a in older[1:]]
                            + [(id(arch), stream) for stream in streams])
     arch = power7()
     streams = [get_workload(name).stream
                for name in ("EP", "CG", "IS", "SSCA2", "Stream", "Equake")]
     engine._warm_serial_rates(arch, streams)
-    assert memo.keys() == [(id(arch), stream) for stream in streams]
+    assert list(memo._data) == [(id(arch), stream) for stream in streams]
+
+
+class _GetDuringEviction(OrderedDict):
+    """Storage whose first eviction lets a lock-free get run first."""
+
+    def popitem(self, last=True):
+        if not self.get_ran:
+            self.get_ran = True
+            self.move_to_end("older")   # Memo.get's move, behind the batch
+        return super().popitem(last)
+
+
+def test_a_get_during_eviction_cannot_split_a_batch(no_memos):
+    memo = Memo("racy", 2)
+    memo._data = _GetDuringEviction(older=1)
+    memo._data.get_ran = False
+    memo.put_many([("a", 2), ("b", 3)])
+    assert list(memo._data) == ["a", "b"] and memo.evictions == 1
 
 
 def test_fresh_sessions_do_not_grow_the_memos(tmp_path, monkeypatch):
