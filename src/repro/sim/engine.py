@@ -298,24 +298,24 @@ def _remember_serial_rates(
     )
 
 
-def _warm_serial_rates(arch, streams: Sequence[StreamParams]) -> None:
-    """Solve and memoize every serial rate of ``streams`` not yet known
-    for ``arch``, in one vectorized pass (independent SMT1 solo solves)."""
-    pending: Dict[StreamParams, None] = {}
-    for stream in streams:
-        if _SERIAL_RATE_CACHE.get((id(arch), stream)) is None:
-            pending[stream] = None
+def _warm_serial_rates(arch, streams: Sequence[StreamParams]) -> List[float]:
+    """The serial rate of each of ``streams`` on ``arch``: those not yet
+    memoized are solved in one vectorized pass (independent SMT1 solo
+    solves) and memoized.  One memo read per stream, because hashing a
+    stream is the costly part of a read."""
+    rates = [_SERIAL_RATE_CACHE.get((id(arch), stream)) for stream in streams]
+    pending = {stream: None for stream, rate in zip(streams, rates) if rate is None}
     if not pending:
-        return
+        return rates
     get_tracer().add("engine.serial_memo_misses", len(pending))
     solo = solve_core_batch([
         CoreInput(arch=arch, smt_level=1, streams=(stream,), threads_per_chip=1)
         for stream in pending
     ])
     freq = arch.cycles_per_second()
-    _remember_serial_rates(arch, [
-        (stream, float(out.ipc[0]) * freq) for stream, out in zip(pending, solo)
-    ])
+    solved = {stream: float(out.ipc[0]) * freq for stream, out in zip(pending, solo)}
+    _remember_serial_rates(arch, list(solved.items()))
+    return [solved[stream] if rate is None else rate for stream, rate in zip(streams, rates)]
 
 
 def _serial_rate(system: SystemSpec, stream: StreamParams) -> float:

@@ -674,11 +674,10 @@ class ScenarioTable:
         ns = self.ns
         n = self.run_n
 
-        # Serial rates: one memo lookup per distinct stream.
-        _engine._warm_serial_rates(arch, self.streams)
-        rates = np.array([
-            _engine._serial_rate(specs[0].system, stream) for stream in self.streams
-        ], dtype=float)
+        # Serial rates: one memo lookup per distinct stream, each counted
+        # as a hit as ``_serial_rate`` counts its reads.
+        rates = np.array(_engine._warm_serial_rates(arch, self.streams), dtype=float)
+        get_tracer().add("engine.serial_memo_hits", len(self.streams))
 
         runnable = state.runnable
         wall, serial_t, par_t, total_cpu = account_runs(

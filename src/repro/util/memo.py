@@ -84,21 +84,27 @@ class Memo:
         batch = dict(items)
         with self._lock:
             data, kept_pins = self._data, self._pins
+            # Evict before inserting, so a lock-free reader never sees
+            # more than max(cap, batch) entries, and skip the batch's own
+            # keys without ever removing one (a reader would miss it).
+            excess = len(data) + sum(key not in data for key in batch) - max(self.cap, len(batch))
+            while excess > 0:
+                try:
+                    key = next(iter(data))
+                except RuntimeError:  # a get reordered the entries meanwhile
+                    continue
+                if key in batch:
+                    data.move_to_end(key)
+                    continue
+                del data[key]
+                kept_pins.pop(key, None)
+                self.evictions += 1
+                excess -= 1
             for key, value in batch.items():
                 if pins:
                     kept_pins[key] = pins
                 data[key] = value
                 data.move_to_end(key)
-            keep = max(self.cap, len(batch))
-            while len(data) > keep:
-                key, value = data.popitem(last=False)
-                if key in batch:
-                    # A lock-free get moved an older entry behind the
-                    # batch: keep this one, the older one goes next.
-                    data[key] = value
-                    continue
-                kept_pins.pop(key, None)
-                self.evictions += 1
 
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove ``key``'s entry; returns its value, or ``None``."""

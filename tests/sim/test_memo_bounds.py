@@ -181,22 +181,12 @@ def test_a_serial_rate_batch_is_never_split(cold_memo, monkeypatch):
     assert list(memo._data) == [(id(arch), stream) for stream in streams]
 
 
-class _GetDuringEviction(OrderedDict):
-    """Storage whose first eviction lets a lock-free get run first."""
-
-    def popitem(self, last=True):
-        if not self.get_ran:
-            self.get_ran = True
-            self.move_to_end("older")   # Memo.get's move, behind the batch
-        return super().popitem(last)
-
-
-def test_a_get_during_eviction_cannot_split_a_batch(no_memos):
-    memo = Memo("racy", 2)
-    memo._data = _GetDuringEviction(older=1)
-    memo._data.get_ran = False
-    memo.put_many([("a", 2), ("b", 3)])
-    assert list(memo._data) == ["a", "b"] and memo.evictions == 1
+def test_a_batch_replacing_its_oldest_entry_evicts_an_older_one(no_memos):
+    memo = Memo("batch", 2)
+    memo.put("a", 1)
+    memo.put("older", 2)
+    memo.put_many([("a", 3), ("b", 4)])
+    assert list(memo._data.items()) == [("a", 3), ("b", 4)] and memo.evictions == 1
 
 
 def test_fresh_sessions_do_not_grow_the_memos(tmp_path, monkeypatch):
